@@ -27,12 +27,12 @@ from .containers import (
 )
 from .domains import BOOLEAN, FLOAT64, INT64
 from .errors import (
-    DuplicateIndexError,
     IndexRangeError,
     InternalInvariantError,
     PreconditionError,
 )
-from .kernels import apply_unary, ewise_mult, mxm, mxv, reduce, scale_matrix, scale_vector
+from .kernels import (_check_index_list, apply_unary, ewise_mult, mxm, mxv, reduce,
+                      scale_matrix, scale_vector)
 from .semirings import BinaryOp, Monoid, UnaryOp, registry_get
 
 
@@ -83,18 +83,12 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     src = list(sources)
     if not src:
         raise PreconditionError("bfs: source list is empty")
-    seen: set[int] = set()
-    for i in src:
-        if not isinstance(i, int) or not 0 <= i < n:
-            raise IndexRangeError(f"bfs: source {i!r} out of range [0, {n})")
-        if i in seen:
-            raise DuplicateIndexError(f"bfs: duplicate source {i}")
-        seen.add(i)
+    _check_index_list(src, n, "bfs source")
     sr = registry_get("or_and")
     pat = _pattern(a, BOOLEAN, True)
-    frontier = vector_from_entries(n, [(i, True) for i in sorted(seen)], BOOLEAN)
-    visited = set(seen)
-    levels: dict[int, int] = {i: 0 for i in seen}
+    frontier = vector_from_entries(n, [(i, True) for i in sorted(src)], BOOLEAN)
+    visited = set(src)
+    levels: dict[int, int] = {i: 0 for i in src}
     for level in range(1, n + 1):
         if not vector_entries(frontier):
             break
@@ -186,22 +180,27 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     )
 
 
+def _corners(a: CompressedMatrix, name: str) -> tuple:
+    """Semiring, 0/1 pattern P and P masked to (P.P) of a simple undirected
+    graph: entry (i, j) counts the triangles through edge i-j."""
+    _require_square(a, name)
+    for r, c, _v in entries_of(a):
+        if r == c:
+            raise PreconditionError(f"{name}: graph must have no self-loops")
+    sr = registry_get("plus_times/signed-int-64")
+    pat = _pattern(a, INT64, 1)
+    if not is_symmetric(pat):
+        raise PreconditionError(f"{name}: adjacency pattern is not symmetric")
+    return sr, pat, ewise_mult(pat, mxm(pat, pat, sr), sr.mul)
+
+
 def triangle_count(a: CompressedMatrix) -> int:
     """Count triangles in a simple undirected graph.
 
     Sums the entries of A.A masked to A's own pattern; every triangle is
     counted once per ordered corner traversal, six times in all.
     """
-    n = _require_square(a, "triangle_count")
-    for r, c, _v in entries_of(a):
-        if r == c:
-            raise PreconditionError("triangle_count: graph must have no self-loops")
-    sr = registry_get("plus_times/signed-int-64")
-    pat = _pattern(a, INT64, 1)
-    if not is_symmetric(pat):
-        raise PreconditionError("triangle_count: adjacency pattern is not symmetric")
-    paths2 = mxm(pat, pat, sr)
-    corners = ewise_mult(pat, paths2, sr.mul)
+    sr, _pat, corners = _corners(a, "triangle_count")
     total = _vec_total(reduce(corners, sr.add, "rows"), sr.add)
     if total % 6 != 0:
         raise InternalInvariantError(
@@ -218,20 +217,7 @@ def clustering_coefficients(a: CompressedMatrix) -> SparseVector:
     wedges and get no entry, and neither do vertices with wedges but no
     triangle; an absent entry reads as a zero coefficient.
     """
-    n = _require_square(a, "clustering_coefficients")
-    for r, c, _v in entries_of(a):
-        if r == c:
-            raise PreconditionError(
-                "clustering_coefficients: graph must have no self-loops"
-            )
-    sr = registry_get("plus_times/signed-int-64")
-    pat = _pattern(a, INT64, 1)
-    if not is_symmetric(pat):
-        raise PreconditionError(
-            "clustering_coefficients: adjacency pattern is not symmetric"
-        )
-    paths2 = mxm(pat, pat, sr)
-    corners = ewise_mult(pat, paths2, sr.mul)
+    sr, pat, corners = _corners(a, "clustering_coefficients")
     # Row sums of the masked square give 2 t(i); d(i)(d(i)-1) counts
     # ordered wedges, so the ratio is the coefficient with no halving.
     tri2 = reduce(corners, sr.add, "rows")

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import algorithms
 from .containers import (
@@ -52,23 +51,6 @@ class _DataError(Exception):
     maps to exit code 2 no matter which error class the reader used."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input_paths: tuple
-    output_format: str = "json"
-    semiring: str | None = None
-    sources: tuple = ()
-    source: int | None = None
-    alpha: float = 0.85
-    tol: float = 1e-8
-    max_iters: int = 100
-    output_path: str | None = None
-    direction: str | None = None
-    transpose: bool = False
-    undirected: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -93,87 +75,63 @@ def _build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    def command(name, handler, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
+        return sp
+
     def common(sp, files=1):
-        names = ["file"] if files == 1 else ["file_a", "file_b"]
-        for name in names:
+        for name in ("file", "file_b")[:files]:
             sp.add_argument(name, help="input matrix (Matrix Market or TSV edge list)")
         sp.add_argument("--format", choices=("json", "tsv"), default="json",
                         dest="output_format", help="output format (default json)")
         sp.add_argument("--undirected", action="store_true",
                         help="mirror edges when reading a TSV edge list")
 
-    sp = sub.add_parser("info", help="dimensions, entry count, symmetry, domain")
-    common(sp)
+    common(command("info", _info, "dimensions, entry count, symmetry, domain"))
 
-    sp = sub.add_parser("degrees", help="per-vertex in or out degrees")
+    sp = command("degrees", _degrees, "per-vertex in or out degrees")
     sp.add_argument("--dir", choices=("in", "out"), required=True)
     common(sp)
 
-    sp = sub.add_parser("bfs", help="breadth-first search levels")
+    sp = command("bfs", _bfs, "breadth-first search levels")
     sp.add_argument("--source", required=True, type=_comma_indices,
                     help="source vertex, or comma-separated list")
     common(sp)
 
-    sp = sub.add_parser("sssp", help="single-source shortest path distances")
+    sp = command("sssp", _sssp, "single-source shortest path distances")
     sp.add_argument("--source", required=True, type=int)
     common(sp)
 
-    sp = sub.add_parser("cc", help="connected component labels")
-    common(sp)
+    common(command("cc", _cc, "connected component labels"))
+    common(command("triangles", _triangles, "triangle count"))
+    common(command("clustering", _clustering, "local clustering coefficients"))
 
-    sp = sub.add_parser("triangles", help="triangle count")
-    common(sp)
-
-    sp = sub.add_parser("clustering", help="local clustering coefficients")
-    common(sp)
-
-    sp = sub.add_parser("pagerank", help="PageRank by power iteration")
+    sp = command("pagerank", _pagerank, "PageRank by power iteration")
     sp.add_argument("--alpha", type=float, default=0.85)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=100)
     common(sp)
 
-    sp = sub.add_parser("mxm", help="matrix-matrix multiply over a semiring")
+    sp = command("mxm", _mxm, "matrix-matrix multiply over a semiring")
     sp.add_argument("--semiring", required=True,
                     help='name like "min_plus" or "plus_times/float-double"')
     common(sp, files=2)
     sp.add_argument("-o", "--output", required=True, dest="output_path",
                     help="destination Matrix Market file")
 
-    sp = sub.add_parser("mxv", help="matrix-vector multiply over a semiring")
+    sp = command("mxv", _mxv, "matrix-vector multiply over a semiring")
     sp.add_argument("--semiring", required=True)
     sp.add_argument("--transpose", action="store_true",
                     help="multiply by the transpose of the matrix")
     common(sp, files=2)
 
-    sp = sub.add_parser("convert", help="rewrite any input as Matrix Market")
+    sp = command("convert", _convert, "rewrite any input as Matrix Market")
     common(sp)
     sp.add_argument("-o", "--output", required=True, dest="output_path",
                     help="destination Matrix Market file")
 
     return p
-
-
-def _config_from(ns: argparse.Namespace) -> CliConfig:
-    paths = tuple(
-        getattr(ns, k) for k in ("file", "file_a", "file_b") if hasattr(ns, k)
-    )
-    src = getattr(ns, "source", None)
-    return CliConfig(
-        command=ns.command,
-        input_paths=paths,
-        output_format=getattr(ns, "output_format", "json"),
-        semiring=getattr(ns, "semiring", None),
-        sources=src if isinstance(src, tuple) else (),
-        source=src if isinstance(src, int) else None,
-        alpha=getattr(ns, "alpha", 0.85),
-        tol=getattr(ns, "tol", 1e-8),
-        max_iters=getattr(ns, "max_iters", 100),
-        output_path=getattr(ns, "output_path", None),
-        direction=getattr(ns, "dir", None),
-        transpose=getattr(ns, "transpose", False),
-        undirected=getattr(ns, "undirected", False),
-    )
 
 
 def _check_threads_env() -> None:
@@ -196,6 +154,8 @@ def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
             lines = fh.readlines()
     except OSError as e:
         raise _DataError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise _DataError(f"{path}: {e}") from e
     first = lines[0] if lines else ""
     try:
         if first.lower().startswith("%%matrixmarket"):
@@ -251,80 +211,69 @@ def _pairs(v: SparseVector) -> list:
     return [[i, _json_value(x)] for i, x in vector_entries(v)]
 
 
-def _run_command(cfg: CliConfig):
-    if cfg.command == "info":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        sym = is_symmetric(m) if m.nrows == m.ncols else False
-        return {
-            "nrows": m.nrows,
-            "ncols": m.ncols,
-            "nnz": nvals(m),
-            "symmetric": sym,
-            "domain": m.domain.kind,
-        }
-    if cfg.command == "degrees":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        d = algorithms.degrees(m, cfg.direction)
-        return {"direction": cfg.direction, "degrees": _pairs(d)}
-    if cfg.command == "bfs":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        res = algorithms.bfs(m, list(cfg.sources))
-        return {"levels": _pairs(res.levels), "reached": res.reached_count}
-    if cfg.command == "sssp":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        dist = algorithms.sssp_minplus(m, cfg.source)
-        return {"distances": _pairs(dist)}
-    if cfg.command == "cc":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        labels = algorithms.connected_components(m)
-        distinct = {x for _i, x in vector_entries(labels)}
-        return {"labels": _pairs(labels), "components": len(distinct)}
-    if cfg.command == "triangles":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        return algorithms.triangle_count(m)
-    if cfg.command == "clustering":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        c = algorithms.clustering_coefficients(m)
-        return {"coefficients": _pairs(c)}
-    if cfg.command == "pagerank":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        res = algorithms.pagerank(m, cfg.alpha, cfg.max_iters, cfg.tol)
-        return {
-            "ranks": _pairs(res.ranks),
-            "iterations": res.iterations,
-            "residual": res.residual,
-        }
-    if cfg.command == "mxm":
-        a = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        b = _load_matrix(cfg.input_paths[1], cfg.undirected)
-        s = _resolve_semiring(cfg.semiring, a.domain)
-        c = mxm(a, b, s)
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            write_matrix_market(to_tuples(c), fh)
-        return {
-            "output": cfg.output_path,
-            "nrows": c.nrows,
-            "ncols": c.ncols,
-            "nnz": nvals(c),
-        }
-    if cfg.command == "mxv":
-        a = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        v = _load_vector(cfg.input_paths[1])
-        s = _resolve_semiring(cfg.semiring, a.domain)
-        w = mxv(a, v, s, transpose_input=cfg.transpose)
-        return {"length": w.length, "entries": _pairs(w)}
-    if cfg.command == "convert":
-        m = _load_matrix(cfg.input_paths[0], cfg.undirected)
-        coo = to_tuples(m)
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            write_matrix_market(coo, fh)
-        return {
-            "output": cfg.output_path,
-            "nrows": m.nrows,
-            "ncols": m.ncols,
-            "nnz": nvals(m),
-        }
-    raise UsageError(f"unknown command {cfg.command!r}")
+# Command handlers: each takes the loaded first input and the parsed
+# arguments, and returns the JSON-ready result.
+
+
+def _info(m, ns):
+    sym = is_symmetric(m) if m.nrows == m.ncols else False
+    return {"nrows": m.nrows, "ncols": m.ncols, "nnz": nvals(m),
+            "symmetric": sym, "domain": m.domain.kind}
+
+
+def _degrees(m, ns):
+    return {"direction": ns.dir, "degrees": _pairs(algorithms.degrees(m, ns.dir))}
+
+
+def _bfs(m, ns):
+    res = algorithms.bfs(m, list(ns.source))
+    return {"levels": _pairs(res.levels), "reached": res.reached_count}
+
+
+def _sssp(m, ns):
+    return {"distances": _pairs(algorithms.sssp_minplus(m, ns.source))}
+
+
+def _cc(m, ns):
+    labels = algorithms.connected_components(m)
+    distinct = {x for _i, x in vector_entries(labels)}
+    return {"labels": _pairs(labels), "components": len(distinct)}
+
+
+def _triangles(m, ns):
+    return algorithms.triangle_count(m)
+
+
+def _clustering(m, ns):
+    return {"coefficients": _pairs(algorithms.clustering_coefficients(m))}
+
+
+def _pagerank(m, ns):
+    res = algorithms.pagerank(m, ns.alpha, ns.max_iters, ns.tol)
+    return {"ranks": _pairs(res.ranks), "iterations": res.iterations,
+            "residual": res.residual}
+
+
+def _write_output(m: CompressedMatrix, path: str) -> dict:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_matrix_market(to_tuples(m), fh)
+    return {"output": path, "nrows": m.nrows, "ncols": m.ncols, "nnz": nvals(m)}
+
+
+def _mxm(a, ns):
+    b = _load_matrix(ns.file_b, ns.undirected)
+    c = mxm(a, b, _resolve_semiring(ns.semiring, a.domain))
+    return _write_output(c, ns.output_path)
+
+
+def _mxv(a, ns):
+    v = _load_vector(ns.file_b)
+    w = mxv(a, v, _resolve_semiring(ns.semiring, a.domain), transpose_input=ns.transpose)
+    return {"length": w.length, "entries": _pairs(w)}
+
+
+def _convert(m, ns):
+    return _write_output(m, ns.output_path)
 
 
 def _render_tsv(result) -> str:
@@ -352,15 +301,14 @@ def run(argv=None) -> int:
         except SystemExit as e:  # --help and --version exit via argparse
             return int(e.code or 0)
         _check_threads_env()
-        cfg = _config_from(ns)
         started = time.perf_counter()
-        result = _run_command(cfg)
+        result = ns.handler(_load_matrix(ns.file, ns.undirected), ns)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if cfg.output_format == "tsv":
+        if ns.output_format == "tsv":
             sys.stdout.write(_render_tsv(result))
         else:
             payload = {
-                "command": cfg.command,
+                "command": ns.command,
                 "result": result,
                 "elapsed_ms": round(elapsed_ms, 3),
             }
@@ -369,10 +317,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (_DataError, ParseError, UnserializableDomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (_DataError, ParseError, UnserializableDomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (

@@ -39,11 +39,13 @@ class MatrixMarketHeader:
         if self.object != "matrix":
             raise ValueError(f"unsupported object {self.object!r}")
         if self.format != "coordinate":
-            raise ValueError(f"unsupported format {self.format!r}")
+            raise ValueError(f"unsupported format {self.format!r} (only coordinate)")
         if self.field not in _FIELDS:
             raise ValueError(f"unsupported field {self.field!r}")
         if self.symmetry not in _SYMMETRIES:
-            raise ValueError(f"unsupported symmetry {self.symmetry!r}")
+            raise ValueError(
+                f"unsupported symmetry {self.symmetry!r} (only general or symmetric)"
+            )
 
 
 def _parse_banner(line: str, lineno: int) -> MatrixMarketHeader:
@@ -54,18 +56,10 @@ def _parse_banner(line: str, lineno: int) -> MatrixMarketHeader:
         raise ParseError(
             lineno, f"banner needs 5 tokens (got {len(tokens)})"
         )
-    obj, fmt, field, symmetry = (t.lower() for t in tokens[1:])
-    if obj != "matrix":
-        raise ParseError(lineno, f"unsupported object {obj!r}")
-    if fmt != "coordinate":
-        raise ParseError(lineno, f"unsupported format {fmt!r} (only coordinate)")
-    if field not in _FIELDS:
-        raise ParseError(lineno, f"unsupported field {field!r}")
-    if symmetry not in _SYMMETRIES:
-        raise ParseError(
-            lineno, f"unsupported symmetry {symmetry!r} (only general or symmetric)"
-        )
-    return MatrixMarketHeader(object=obj, format=fmt, field=field, symmetry=symmetry)
+    try:
+        return MatrixMarketHeader(*(t.lower() for t in tokens[1:]))
+    except ValueError as e:
+        raise ParseError(lineno, str(e)) from None
 
 
 def _parse_index(token: str, upper: int, what: str, lineno: int) -> int:

@@ -17,6 +17,11 @@ TRIANGLE_MM = (
     "3 1 1\n"
     "3 2 1\n"
 )
+VECTOR_MM = (
+    "%%MatrixMarket matrix coordinate integer general\n"
+    "3 1 1\n"
+    "1 1 1\n"
+)
 
 
 @pytest.fixture()
@@ -160,11 +165,7 @@ def test_mxm_writes_product_file(capsys, tmp_path, triangle_mm_file):
 
 def test_mxv_with_single_column_vector(capsys, tmp_path, triangle_mm_file):
     vec = tmp_path / "v.mm"
-    vec.write_text(
-        "%%MatrixMarket matrix coordinate integer general\n"
-        "3 1 1\n"
-        "1 1 1\n"
-    )
+    vec.write_text(VECTOR_MM)
     code, payload, _ = run_json(
         capsys,
         ["mxv", "--semiring", "plus_times", triangle_mm_file, str(vec)],
@@ -192,6 +193,41 @@ def test_mxv_transpose_flag(capsys, tmp_path):
     )
     assert code == 0
     assert payload["result"]["entries"] == [[1, 5]]
+
+
+# One run of every subcommand on the K3 matrix, and the keys of its result
+# (triangles returns a bare count).
+DISPATCH_CASES = [
+    (["info", "{mm}"], {"nrows", "ncols", "nnz", "symmetric", "domain"}),
+    (["degrees", "--dir", "out", "{mm}"], {"direction", "degrees"}),
+    (["bfs", "--source", "0", "{mm}"], {"levels", "reached"}),
+    (["sssp", "--source", "0", "{mm}"], {"distances"}),
+    (["cc", "{mm}"], {"labels", "components"}),
+    (["triangles", "{mm}"], None),
+    (["clustering", "{mm}"], {"coefficients"}),
+    (["pagerank", "{mm}"], {"ranks", "iterations", "residual"}),
+    (["mxm", "--semiring", "plus_times", "{mm}", "{mm}", "-o", "{out}"],
+     {"output", "nrows", "ncols", "nnz"}),
+    (["mxv", "--semiring", "plus_times", "{mm}", "{vec}"], {"length", "entries"}),
+    (["convert", "{mm}", "-o", "{out}"], {"output", "nrows", "ncols", "nnz"}),
+]
+
+
+@pytest.mark.parametrize("argv, keys", DISPATCH_CASES,
+                         ids=[argv[0] for argv, _keys in DISPATCH_CASES])
+def test_every_command_reaches_its_handler(capsys, tmp_path, triangle_mm_file, argv, keys):
+    vec = tmp_path / "v.mm"
+    vec.write_text(VECTOR_MM)
+    files = {"mm": triangle_mm_file, "vec": str(vec), "out": str(tmp_path / "o.mm")}
+    code, payload, err = run_json(capsys, [a.format(**files) for a in argv])
+    assert code == 0 and err == ""
+    assert payload["command"] == argv[0]
+    assert isinstance(payload["elapsed_ms"], float)
+    result = payload["result"]
+    if keys is None:
+        assert isinstance(result, int)
+    else:
+        assert set(result) == keys
 
 
 def test_help_exits_zero(capsys):
@@ -270,6 +306,14 @@ def test_threads_env_validation(capsys, monkeypatch, triangle_mm_file):
 def test_missing_file_is_data_error(capsys, tmp_path):
     assert run(["info", str(tmp_path / "absent.tsv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_data_error(capsys, tmp_path):
+    p = tmp_path / "b.tsv"
+    p.write_bytes(b"\xff\xfe\x00\x01x\n")
+    assert run(["info", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
 
 
 def test_malformed_matrix_market_is_data_error(capsys, tmp_path):
