@@ -26,11 +26,7 @@ from .containers import (
     vector_from_entries,
 )
 from .domains import BOOLEAN, FLOAT64, INT64
-from .errors import (
-    IndexRangeError,
-    InternalInvariantError,
-    PreconditionError,
-)
+from .errors import InternalInvariantError, PreconditionError
 from .kernels import (_check_index_list, apply_unary, ewise_mult, mxm, mxv, reduce,
                       scale_matrix, scale_vector)
 from .semirings import BinaryOp, Monoid, UnaryOp, registry_get
@@ -125,8 +121,7 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
         raise PreconditionError(
             f"sssp_minplus: weights must be a real numeric domain, got {d.kind}"
         )
-    if not isinstance(source, int) or not 0 <= source < n:
-        raise IndexRangeError(f"sssp_minplus: source {source!r} out of range [0, {n})")
+    _check_index_list([source], n, "sssp source")
     for _r, _c, w in entries_of(a):
         if d.is_float and not math.isfinite(w):
             raise PreconditionError(f"sssp_minplus: non-finite edge weight {w!r}")
@@ -247,6 +242,8 @@ def pagerank(a: CompressedMatrix, alpha: float = 0.85, max_iters: int = 100,
         raise PreconditionError("alpha out of range (0,1)")
     if max_iters < 1:
         raise PreconditionError("pagerank: max_iters must be at least 1")
+    if not tol >= 0:
+        raise PreconditionError("pagerank: tol must be non-negative")
     sr = registry_get("plus_times/float-double")
     pat = _pattern(a, FLOAT64, 1.0)
     outdeg = reduce(pat, sr.add, "rows")

@@ -7,14 +7,13 @@ indices in all output are 0-based, regardless of the 1-based Matrix
 Market encoding on disk.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input
-data, 3 algorithm precondition failure.
+data or an unwritable output path, 3 algorithm precondition failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -47,8 +46,9 @@ from .semirings import registry_get
 
 
 class _DataError(Exception):
-    """Marks errors raised while loading input files, so malformed data
-    maps to exit code 2 no matter which error class the reader used."""
+    """Marks errors raised while loading input files or writing an output
+    file, so malformed data or an unusable path maps to exit code 2 no
+    matter which error class the reader or the OS used."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,18 +132,6 @@ def _build_parser() -> _Parser:
                     help="destination Matrix Market file")
 
     return p
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("SGK_THREADS")
-    if raw is None:
-        return
-    try:
-        k = int(raw)
-    except ValueError:
-        raise UsageError(f"SGK_THREADS must be a positive integer, got {raw!r}") from None
-    if k < 1:
-        raise UsageError(f"SGK_THREADS must be a positive integer, got {raw!r}")
 
 
 def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
@@ -255,8 +243,11 @@ def _pagerank(m, ns):
 
 
 def _write_output(m: CompressedMatrix, path: str) -> dict:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_matrix_market(to_tuples(m), fh)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write_matrix_market(to_tuples(m), fh)
+    except OSError as e:
+        raise _DataError(f"{path}: {e.strerror or e}") from e
     return {"output": path, "nrows": m.nrows, "ncols": m.ncols, "nnz": nvals(m)}
 
 
@@ -300,7 +291,6 @@ def run(argv=None) -> int:
             ns = _build_parser().parse_args(argv)
         except SystemExit as e:  # --help and --version exit via argparse
             return int(e.code or 0)
-        _check_threads_env()
         started = time.perf_counter()
         result = ns.handler(_load_matrix(ns.file, ns.undirected), ns)
         elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -9,7 +9,8 @@ everywhere inside the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .domains import BOOLEAN, ValueDomain
@@ -185,56 +186,54 @@ def vector_from_entries(length: int,
 # Conversions
 
 
-def to_compressed(m: CooMatrix, orientation: str = ROW,
-                  descriptor: MatrixDescriptor | None = None) -> CompressedMatrix:
-    if orientation not in _ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
-    major = m.nrows if orientation == ROW else m.ncols
-    if orientation == ROW:
-        ordered = m.triples
-    else:
-        ordered = tuple(sorted(m.triples, key=lambda t: (t.col, t.row)))
-    counts = [0] * (major + 1)
-    minors = []
-    values = []
-    for t in ordered:
-        i = t.row if orientation == ROW else t.col
-        j = t.col if orientation == ROW else t.row
+def _offsets(indices: Iterable[int], nslices: int) -> tuple[int, ...]:
+    """Slice offsets of entries grouped by slice index: counts, then a prefix sum."""
+    counts = [0] * (nslices + 1)
+    for i in indices:
         counts[i + 1] += 1
-        minors.append(j)
-        values.append(t.val)
-    for i in range(major):
-        counts[i + 1] += counts[i]
-    return CompressedMatrix(
-        nrows=m.nrows,
-        ncols=m.ncols,
-        orientation=orientation,
-        offsets=tuple(counts),
-        minor_indices=tuple(minors),
-        values=tuple(values),
-        descriptor=descriptor if descriptor is not None else MatrixDescriptor(),
-        domain=m.domain,
-    )
+    return tuple(accumulate(counts))
+
+
+def to_compressed(m: CooMatrix, orientation: str = ROW) -> CompressedMatrix:
+    """CSR straight from the (row, col)-sorted triples, then `reorient`."""
+    offsets = _offsets((t.row for t in m.triples), m.nrows)
+    csr = CompressedMatrix(m.nrows, m.ncols, ROW, offsets, tuple(t.col for t in m.triples),
+                           tuple(t.val for t in m.triples), MatrixDescriptor(), m.domain)
+    return reorient(csr, orientation)
 
 
 def to_tuples(m: CompressedMatrix) -> CooMatrix:
-    triples = []
-    major = m.nrows if m.orientation == ROW else m.ncols
-    for i in range(major):
-        for p in range(m.offsets[i], m.offsets[i + 1]):
-            j = m.minor_indices[p]
-            r, c = (i, j) if m.orientation == ROW else (j, i)
-            triples.append(Triple(r, c, m.values[p]))
-    triples.sort(key=lambda t: (t.row, t.col))
-    return CooMatrix(m.nrows, m.ncols, tuple(triples), m.domain)
+    csr = reorient(m, ROW)
+    triples = tuple(Triple(i, csr.minor_indices[p], csr.values[p])
+                    for i in range(csr.nrows)
+                    for p in range(csr.offsets[i], csr.offsets[i + 1]))
+    return CooMatrix(m.nrows, m.ncols, triples, m.domain)
 
 
 def reorient(m: CompressedMatrix, orientation: str) -> CompressedMatrix:
+    """The same matrix stored in `orientation`, by counting sort in O(nnz + n).
+
+    Walking the major slices in order and dropping each entry into the next
+    free slot of its minor slice leaves every new slice sorted (Gustavson's
+    permuted transposition, ACM TOMS 1978).
+    """
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
     if m.orientation == orientation:
         return m
-    return to_compressed(to_tuples(m), orientation, m.descriptor)
+    offsets = _offsets(m.minor_indices, m.ncols if m.orientation == ROW else m.nrows)
+    free = list(offsets)
+    minors = [0] * len(m.values)
+    values = [None] * len(m.values)
+    for i in range(len(m.offsets) - 1):
+        lo, hi = m.offsets[i], m.offsets[i + 1]
+        for j, v in zip(m.minor_indices[lo:hi], m.values[lo:hi]):
+            q = free[j]
+            free[j] = q + 1
+            minors[q] = i
+            values[q] = v
+    return replace(m, orientation=orientation, offsets=offsets,
+                   minor_indices=tuple(minors), values=tuple(values))
 
 
 def transpose(m: CompressedMatrix) -> CompressedMatrix:
@@ -243,16 +242,8 @@ def transpose(m: CompressedMatrix) -> CompressedMatrix:
     A CSR matrix reinterpreted as CSC (and swapped dimensions) is already
     the transpose, so this is a relabeling plus one reorientation.
     """
-    flipped = CompressedMatrix(
-        nrows=m.ncols,
-        ncols=m.nrows,
-        orientation=COL if m.orientation == ROW else ROW,
-        offsets=m.offsets,
-        minor_indices=m.minor_indices,
-        values=m.values,
-        descriptor=m.descriptor,
-        domain=m.domain,
-    )
+    flipped = replace(m, nrows=m.ncols, ncols=m.nrows,
+                      orientation=COL if m.orientation == ROW else ROW)
     return reorient(flipped, m.orientation)
 
 
@@ -264,7 +255,9 @@ def is_symmetric(m: CompressedMatrix) -> bool:
     """True when pattern and values are equal under transposition."""
     if m.nrows != m.ncols:
         raise DimensionMismatchError("symmetry is defined for square matrices only")
-    return to_tuples(m).triples == to_tuples(transpose(m)).triples
+    # The CSC arrays of m are the CSR arrays of its transpose.
+    a, at = reorient(m, ROW), reorient(m, COL)
+    return (a.offsets, a.minor_indices, a.values) == (at.offsets, at.minor_indices, at.values)
 
 
 def nvals(m) -> int:

@@ -180,7 +180,7 @@ def test_sssp_rejects_bad_weights_and_domains():
         sssp_minplus(weighted(2, [(0, 1, math.inf)]), 0)
     with pytest.raises(PreconditionError):
         sssp_minplus(digraph(2, [(0, 1)]), 0)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"sssp source index 2 out of range \[0, 2\)"):
         sssp_minplus(weighted(2, [(0, 1, 1.0)]), 2)
 
 
@@ -347,6 +347,10 @@ def test_pagerank_parameter_validation():
         pagerank(a, alpha=0.0)
     with pytest.raises(PreconditionError):
         pagerank(a, max_iters=0)
+    for tol in (math.nan, -1.0):
+        with pytest.raises(PreconditionError, match="tol must be non-negative"):
+            pagerank(a, tol=tol)
+    pagerank(a, tol=0.0)  # zero stays valid
     with pytest.raises(PreconditionError):
         pagerank(to_compressed(CooMatrix(0, 0, (), FLOAT64)))
 

@@ -292,17 +292,6 @@ def test_undirected_with_matrix_market_is_usage_error(capsys, triangle_mm_file):
     assert "edge list" in capsys.readouterr().err
 
 
-def test_threads_env_validation(capsys, monkeypatch, triangle_mm_file):
-    monkeypatch.setenv("SGK_THREADS", "banana")
-    assert run(["info", triangle_mm_file]) == 1
-    assert "SGK_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SGK_THREADS", "0")
-    assert run(["info", triangle_mm_file]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("SGK_THREADS", "2")
-    assert run(["info", triangle_mm_file]) == 0
-
-
 def test_missing_file_is_data_error(capsys, tmp_path):
     assert run(["info", str(tmp_path / "absent.tsv")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -314,6 +303,13 @@ def test_non_utf8_file_is_data_error(capsys, tmp_path):
     assert run(["info", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_is_data_error(capsys, tmp_path, k3_file):
+    out = tmp_path / "nodir" / "x.mm"
+    assert run(["convert", k3_file, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: No such file or directory\n"
 
 
 def test_malformed_matrix_market_is_data_error(capsys, tmp_path):
@@ -339,6 +335,13 @@ def test_pagerank_alpha_out_of_range_is_exit_3(capsys, tmp_path):
     p.write_text("0 1\n1 2\n2 0\n")
     assert run(["pagerank", "--alpha", "1.5", str(p)]) == 3
     assert "alpha out of range (0,1)" in capsys.readouterr().err
+
+
+def test_pagerank_nan_tol_is_exit_3(capsys, tmp_path):
+    p = tmp_path / "cycle.tsv"
+    p.write_text("0 1\n1 2\n2 0\n")
+    assert run(["pagerank", "--tol", "nan", str(p)]) == 3
+    assert "tol must be non-negative" in capsys.readouterr().err
 
 
 def test_sssp_negative_weight_is_exit_3(capsys, tmp_path):

@@ -271,9 +271,9 @@ def test_entries_of_compressed_sorted_row_major():
 
 
 @st.composite
-def coo_matrices(draw):
+def coo_matrices(draw, square=False):
     nrows = draw(st.integers(0, 8))
-    ncols = draw(st.integers(0, 8))
+    ncols = nrows if square else draw(st.integers(0, 8))
     cells = draw(
         st.sets(
             st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0))),
@@ -304,3 +304,28 @@ def test_conversion_round_trips_preserve_everything(coo):
 def test_transpose_preserves_nvals(coo):
     m = to_compressed(coo)
     assert nvals(transpose(m)) == nvals(m)
+
+
+@given(coo_matrices())
+def test_csc_matches_the_sort_by_column_reference(coo):
+    ordered = sorted(coo.triples, key=lambda t: (t.col, t.row))
+    counts = [0] * (coo.ncols + 1)
+    for t in ordered:
+        counts[t.col + 1] += 1
+    for j in range(coo.ncols):
+        counts[j + 1] += counts[j]
+    csc = to_compressed(coo, COL)
+    assert csc.offsets == tuple(counts)
+    assert csc.minor_indices == tuple(t.row for t in ordered)
+    assert csc.values == tuple(t.val for t in ordered)
+
+
+@given(coo_matrices(square=True))
+def test_is_symmetric_matches_brute_force(coo):
+    mirrored = build_from_triples(coo.nrows, coo.ncols,
+                                  [*coo.triples, *((c, r, v) for r, c, v in coo.triples)],
+                                  plus_monoid(INT64))
+    for m in (coo, mirrored):
+        cells = set(m.triples)
+        want = cells == {(c, r, v) for r, c, v in cells}
+        assert is_symmetric(to_compressed(m)) == is_symmetric(to_compressed(m, COL)) == want
