@@ -122,7 +122,8 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
             f"sssp_minplus: weights must be a real numeric domain, got {d.kind}"
         )
     _check_index_list([source], n, "sssp source")
-    for _r, _c, w in entries_of(a):
+    entries = entries_of(a)
+    for _r, _c, w in entries:
         if d.is_float and not math.isfinite(w):
             raise PreconditionError(f"sssp_minplus: non-finite edge weight {w!r}")
         if w < 0:
@@ -131,7 +132,7 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     zero_w = 0.0 if d.is_float else 0
     loops = [(i, i, zero_w) for i in range(n)]
     aug = to_compressed(
-        build_from_triples(n, n, list(entries_of(a)) + loops, sr.add),
+        build_from_triples(n, n, list(entries) + loops, sr.add),
         a.orientation,
     )
     dist = vector_from_entries(n, [(source, zero_w)], d)

@@ -82,7 +82,6 @@ class CompressedMatrix:
     offsets: tuple[int, ...]
     minor_indices: tuple[int, ...]
     values: tuple[Any, ...]
-    descriptor: MatrixDescriptor
     domain: ValueDomain
 
     def __post_init__(self):
@@ -194,19 +193,23 @@ def _offsets(indices: Iterable[int], nslices: int) -> tuple[int, ...]:
     return tuple(accumulate(counts))
 
 
+def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:
+    """The (minor index, value) pairs of major slice `i`, in stored order."""
+    lo, hi = m.offsets[i], m.offsets[i + 1]
+    return zip(m.minor_indices[lo:hi], m.values[lo:hi])
+
+
 def to_compressed(m: CooMatrix, orientation: str = ROW) -> CompressedMatrix:
     """CSR straight from the (row, col)-sorted triples, then `reorient`."""
     offsets = _offsets((t.row for t in m.triples), m.nrows)
     csr = CompressedMatrix(m.nrows, m.ncols, ROW, offsets, tuple(t.col for t in m.triples),
-                           tuple(t.val for t in m.triples), MatrixDescriptor(), m.domain)
+                           tuple(t.val for t in m.triples), m.domain)
     return reorient(csr, orientation)
 
 
 def to_tuples(m: CompressedMatrix) -> CooMatrix:
     csr = reorient(m, ROW)
-    triples = tuple(Triple(i, csr.minor_indices[p], csr.values[p])
-                    for i in range(csr.nrows)
-                    for p in range(csr.offsets[i], csr.offsets[i + 1]))
+    triples = tuple(Triple(i, j, v) for i in range(csr.nrows) for j, v in _slice(csr, i))
     return CooMatrix(m.nrows, m.ncols, triples, m.domain)
 
 
@@ -226,8 +229,7 @@ def reorient(m: CompressedMatrix, orientation: str) -> CompressedMatrix:
     minors = [0] * len(m.values)
     values = [None] * len(m.values)
     for i in range(len(m.offsets) - 1):
-        lo, hi = m.offsets[i], m.offsets[i + 1]
-        for j, v in zip(m.minor_indices[lo:hi], m.values[lo:hi]):
+        for j, v in _slice(m, i):
             q = free[j]
             free[j] = q + 1
             minors[q] = i
@@ -290,10 +292,6 @@ def vector_entries(v: SparseVector) -> tuple[tuple[int, Any], ...]:
     return v.entries
 
 
-def vector_length(v: SparseVector) -> int:
-    return v.length
-
-
 # ---------------------------------------------------------------------------
 # Vector reshaping helpers
 
@@ -315,21 +313,13 @@ def densify_vector(v: SparseVector, fill) -> SparseVector:
 
 def vector_as_column(v: SparseVector) -> CompressedMatrix:
     """View a length-n vector as an n x 1 matrix (for matrix-level folds)."""
-    offsets = [0] * (v.length + 1)
-    stored = dict(v.entries)
-    values = []
-    for i in range(v.length):
-        offsets[i + 1] = offsets[i] + (1 if i in stored else 0)
-        if i in stored:
-            values.append(stored[i])
     return CompressedMatrix(
         nrows=v.length,
         ncols=1,
         orientation=ROW,
-        offsets=tuple(offsets),
-        minor_indices=tuple(0 for _ in values),
-        values=tuple(values),
-        descriptor=MatrixDescriptor(),
+        offsets=_offsets((i for i, _ in v.entries), v.length),
+        minor_indices=(0,) * len(v.entries),
+        values=tuple(x for _, x in v.entries),
         domain=v.domain,
     )
 
@@ -347,7 +337,7 @@ def check_invariants(obj, check_values: bool = True) -> bool:
     """
     if isinstance(obj, CompressedMatrix):
         CompressedMatrix(obj.nrows, obj.ncols, obj.orientation, obj.offsets,
-                         obj.minor_indices, obj.values, obj.descriptor, obj.domain)
+                         obj.minor_indices, obj.values, obj.domain)
         vals: Sequence = obj.values
     elif isinstance(obj, CooMatrix):
         CooMatrix(obj.nrows, obj.ncols, obj.triples, obj.domain)

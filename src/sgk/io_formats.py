@@ -9,6 +9,8 @@ Duplicate entries, in either format, collapse by addition.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -140,6 +142,8 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
                 v = float(tokens[2])
             except ValueError:
                 raise ParseError(lineno, f"invalid real value {tokens[2]!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(lineno, f"non-finite value {tokens[2]!r}")
         else:
             try:
                 v = complex(float(tokens[2]), float(tokens[3]))
@@ -147,6 +151,8 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
                 raise ParseError(
                     lineno, f"invalid complex value {tokens[2]!r} {tokens[3]!r}"
                 ) from None
+            if not cmath.isfinite(v):
+                raise ParseError(lineno, f"non-finite value {tokens[2]!r} {tokens[3]!r}")
         if symmetric:
             if r < c:
                 raise ParseError(
@@ -176,9 +182,10 @@ def _format_value(v, domain: ValueDomain) -> str:
 def write_matrix_market(m, stream: IO[str]) -> None:
     """Serialize a matrix as Matrix Market coordinate, general symmetry.
 
-    Floats are written in shortest round-trip-exact decimal form.  Boolean
-    matrices serialize as pattern files provided every stored value is
-    true; opaque-handle matrices have no text form.
+    Floats are written in shortest round-trip-exact decimal form; a
+    non-finite float or complex value has no form the reader accepts.
+    Boolean matrices serialize as pattern files provided every stored value
+    is true; opaque-handle matrices have no text form.
     """
     if isinstance(m, CompressedMatrix):
         m = to_tuples(m)
@@ -195,10 +202,15 @@ def write_matrix_market(m, stream: IO[str]) -> None:
                 )
     elif d.is_integer:
         field = "integer"
-    elif d.is_float:
-        field = "real"
     else:
-        field = "complex"
+        field = "real" if d.is_float else "complex"
+        isfinite = math.isfinite if d.is_float else cmath.isfinite
+        for t in m.triples:
+            if not isfinite(t.val):
+                raise UnserializableDomainError(
+                    f"non-finite value {t.val!r} has no Matrix Market form "
+                    f"(at row {t.row}, column {t.col})"
+                )
     stream.write(f"%%MatrixMarket matrix coordinate {field} general\n")
     stream.write(f"{m.nrows} {m.ncols} {len(m.triples)}\n")
     if field == "pattern":

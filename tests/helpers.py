@@ -149,8 +149,7 @@ def snapshot(obj) -> tuple:
     """Full structural fingerprint of a container, for before/after equality."""
     if isinstance(obj, CompressedMatrix):
         return ("csr", obj.nrows, obj.ncols, obj.orientation, obj.offsets,
-                obj.minor_indices, obj.values, obj.descriptor.symmetric,
-                obj.domain.kind)
+                obj.minor_indices, obj.values, obj.domain.kind)
     if isinstance(obj, CooMatrix):
         return ("coo", obj.nrows, obj.ncols, obj.triples, obj.domain.kind)
     if isinstance(obj, SparseVector):

@@ -330,6 +330,30 @@ def test_out_of_bounds_entry_is_data_error(capsys, tmp_path):
     assert run(["info", str(p)]) == 2
 
 
+def test_non_finite_matrix_market_value_is_data_error(capsys, tmp_path):
+    p = tmp_path / "inf.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n"
+        "1 1 inf\n"
+        "2 2 nan\n"
+    )
+    v = tmp_path / "v.mtx"
+    v.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 1 2\n"
+        "1 1 1.0\n"
+        "2 1 1.0\n"
+    )
+    out = tmp_path / "out.mtx"
+    assert run(["mxv", "--semiring", "plus_times", str(p), str(v)]) == 2
+    assert run(["convert", str(p), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: line 3: non-finite value 'inf'\n" * 2
+    assert not out.exists()
+
+
 def test_pagerank_alpha_out_of_range_is_exit_3(capsys, tmp_path):
     p = tmp_path / "cycle.tsv"
     p.write_text("0 1\n1 2\n2 0\n")

@@ -10,7 +10,6 @@ from sgk.containers import (
     ROW,
     CompressedMatrix,
     CooMatrix,
-    MatrixDescriptor,
     SparseVector,
     Triple,
     build_from_triples,
@@ -197,14 +196,14 @@ def test_coo_rejects_out_of_range():
 
 def test_compressed_validates_offsets():
     with pytest.raises(SgkError):
-        CompressedMatrix(2, 2, ROW, (0, 1), (0,), (1,), MatrixDescriptor(), INT64)
+        CompressedMatrix(2, 2, ROW, (0, 1), (0,), (1,), INT64)
     with pytest.raises(SgkError):
-        CompressedMatrix(2, 2, ROW, (0, 2, 1), (0, 1), (1, 1), MatrixDescriptor(), INT64)
+        CompressedMatrix(2, 2, ROW, (0, 2, 1), (0, 1), (1, 1), INT64)
 
 
 def test_compressed_requires_sorted_minor_indices():
     with pytest.raises(SgkError):
-        CompressedMatrix(1, 3, ROW, (0, 2), (2, 0), (1, 1), MatrixDescriptor(), INT64)
+        CompressedMatrix(1, 3, ROW, (0, 2), (2, 0), (1, 1), INT64)
 
 
 def test_vector_requires_increasing_indices_and_range():
@@ -231,7 +230,7 @@ def test_check_invariants_accepts_valid_and_flags_bad_values():
     assert check_invariants(m)
     forged = CompressedMatrix(
         m.nrows, m.ncols, m.orientation, m.offsets, m.minor_indices,
-        tuple(0.5 for _ in m.values), m.descriptor, m.domain,
+        tuple(0.5 for _ in m.values), m.domain,
     )
     with pytest.raises(DomainMismatchError):
         check_invariants(forged)

@@ -206,6 +206,18 @@ def test_read_wrong_token_count_per_field():
         )
 
 
+@pytest.mark.parametrize("entry", ["1 1 inf", "1 1 -inf", "1 1 nan", "1 1 Infinity"])
+def test_read_rejects_non_finite_real(entry):
+    with pytest.raises(ParseError, match=r"line 3: non-finite value"):
+        mm("%%MatrixMarket matrix coordinate real general\n2 2 1\n" + entry + "\n")
+
+
+@pytest.mark.parametrize("entry", ["1 1 inf 0", "1 1 0 nan"])
+def test_read_rejects_non_finite_complex_part(entry):
+    with pytest.raises(ParseError, match=r"line 3: non-finite value"):
+        mm("%%MatrixMarket matrix coordinate complex general\n2 2 1\n" + entry + "\n")
+
+
 def test_read_empty_matrix():
     m, _ = mm("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
     assert (m.nrows, m.ncols, m.triples) == (0, 0, ())
@@ -261,6 +273,19 @@ def test_write_boolean_false_value_rejected():
     m = CooMatrix(2, 2, (Triple(0, 1, False),), BOOLEAN)
     with pytest.raises(UnserializableDomainError):
         write_matrix_market(m, io.StringIO())
+
+
+@pytest.mark.parametrize("domain,value", [
+    (FLOAT64, float("inf")), (FLOAT64, float("nan")),
+    (COMPLEX128, complex(1.0, float("-inf"))), (COMPLEX128, complex(float("nan"), 0.0)),
+])
+def test_write_non_finite_value_rejected(domain, value):
+    m = CooMatrix(2, 2, (Triple(0, 0, 1.0 if domain is FLOAT64 else 1j),
+                         Triple(1, 0, value)), domain)
+    buf = io.StringIO()
+    with pytest.raises(UnserializableDomainError, match=r"non-finite value .* row 1, column 0"):
+        write_matrix_market(m, buf)
+    assert buf.getvalue() == ""
 
 
 def test_write_opaque_rejected():
