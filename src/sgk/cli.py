@@ -7,7 +7,8 @@ indices in all output are 0-based, regardless of the 1-based Matrix
 Market encoding on disk.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input
-data or an unwritable output path, 3 algorithm precondition failure.
+data, an unwritable output path or a result value JSON cannot carry, 3
+algorithm precondition failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from .errors import (
     UnsupportedDomainError,
     UsageError,
 )
-from .io_formats import read_edge_list, read_matrix_market, write_matrix_market
+from .io_formats import (
+    read_edge_list,
+    read_matrix_market,
+    serializable_field,
+    write_matrix_market,
+)
 from .kernels import mxm, mxv
 from .semirings import registry_get
 
@@ -243,9 +249,11 @@ def _pagerank(m, ns):
 
 
 def _write_output(m: CompressedMatrix, path: str) -> dict:
+    coo = to_tuples(m)
+    serializable_field(coo)  # refuse before opening, so the path stays as it was
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            write_matrix_market(to_tuples(m), fh)
+            write_matrix_market(coo, fh)
     except OSError as e:
         raise _DataError(f"{path}: {e.strerror or e}") from e
     return {"output": path, "nrows": m.nrows, "ncols": m.ncols, "nnz": nvals(m)}
@@ -302,7 +310,14 @@ def run(argv=None) -> int:
                 "result": result,
                 "elapsed_ms": round(elapsed_ms, 3),
             }
-            sys.stdout.write(json.dumps(payload) + "\n")
+            try:
+                text = json.dumps(payload, allow_nan=False)
+            except ValueError:
+                raise UnserializableDomainError(
+                    f"the {ns.command} result holds inf or nan, which JSON "
+                    "cannot carry (--format tsv prints it)"
+                ) from None
+            sys.stdout.write(text + "\n")
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -328,8 +328,8 @@ def vector_as_column(v: SparseVector) -> CompressedMatrix:
 # Validation support (used heavily by the test suite)
 
 
-def check_invariants(obj, check_values: bool = True) -> bool:
-    """Re-run all structural validations; optionally value-check the domain.
+def check_invariants(obj) -> bool:
+    """Re-run all structural validations and value-check the domain.
 
     Containers validate themselves on construction, so this re-checks by
     rebuilding and additionally verifies every stored value is a member of
@@ -347,10 +347,9 @@ def check_invariants(obj, check_values: bool = True) -> bool:
         vals = [v for _i, v in obj.entries]
     else:
         raise TypeError(f"no invariants defined for {type(obj).__name__}")
-    if check_values:
-        for v in vals:
-            if not obj.domain.contains(v):
-                raise DomainMismatchError(
-                    f"stored value {v!r} is outside domain {obj.domain.kind}"
-                )
+    for v in vals:
+        if not obj.domain.contains(v):
+            raise DomainMismatchError(
+                f"stored value {v!r} is outside domain {obj.domain.kind}"
+            )
     return True

@@ -87,11 +87,6 @@ class ValueDomain:
         return self.kind == "opaque-handle"
 
     @property
-    def is_ordered(self) -> bool:
-        """True when the domain carries a total order usable by min/max."""
-        return self.is_integer or self.is_float or self.is_boolean
-
-    @property
     def min_value(self):
         """Smallest representable value; the encoding of -inf for max-monoids."""
         if self.is_boolean:

@@ -76,31 +76,61 @@ def _parse_index(token: str, upper: int, what: str, lineno: int) -> int:
     return k - 1
 
 
+class _DataLines:
+    """The data lines of a text stream as (lineno, tokens) pairs.
+
+    Blank lines and lines starting with `comment` are skipped; numbering
+    continues from `lineno`.  Once the stream is exhausted `lineno` is the
+    number of its last line, data or not, for errors raised at the end of
+    input; `text` is the last data line yielded, stripped.
+    """
+
+    def __init__(self, lines: Iterable[str], comment: str, lineno: int = 0):
+        self._lines = iter(lines)
+        self._comment = comment
+        self.lineno = lineno
+        self.text = ""
+
+    def __iter__(self):
+        lineno = self.lineno
+        for lineno, raw in enumerate(self._lines, lineno + 1):
+            text = raw.strip()
+            if text and not text.startswith(self._comment):
+                self.text = text
+                yield lineno, text.split()
+        self.lineno = lineno
+
+
+def _finite_float(token: str, lineno: int, what: str) -> float:
+    """Parse a finite float; `what` names the value in errors ("real value",
+    "weight"), and its last word names it when the value is not finite."""
+    try:
+        v = float(token)
+    except ValueError:
+        raise ParseError(lineno, f"invalid {what} {token!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {token!r}")
+    return v
+
+
 def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescriptor]:
     """Parse a Matrix Market coordinate file into triple form.
 
     Returns the matrix and a descriptor whose symmetric flag records what
     the file header declared (the stored pattern is always fully expanded).
     """
-    lines = iter(enumerate(stream, start=1))
-    try:
-        lineno, first = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty stream") from None
-    header = _parse_banner(first, lineno)
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(1, "empty stream")
+    header = _parse_banner(first, 1)
     domain = _FIELD_DOMAIN[header.field]
 
-    size = None
-    size_line = lineno
-    for lineno, raw in lines:
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        size = text.split()
-        size_line = lineno
-        break
+    data = _DataLines(lines, "%", lineno=1)
+    rows = iter(data)
+    size_line, size = next(rows, (None, None))
     if size is None:
-        raise ParseError(lineno, "missing size line")
+        raise ParseError(data.lineno, "missing size line")
     if len(size) != 3:
         raise ParseError(size_line, f"size line needs 3 integers (got {len(size)})")
     try:
@@ -116,13 +146,9 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     want = 2 if header.field == "pattern" else (4 if header.field == "complex" else 3)
     triples: list[Triple] = []
     seen = 0
-    for lineno, raw in lines:
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
+    for lineno, tokens in rows:
         if seen == nnz:
             raise ParseError(lineno, f"more than the declared {nnz} entries")
-        tokens = text.split()
         if len(tokens) != want:
             raise ParseError(
                 lineno, f"entry needs {want} tokens for field "
@@ -138,12 +164,7 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
             except ValueError:
                 raise ParseError(lineno, f"invalid integer value {tokens[2]!r}") from None
         elif header.field == "real":
-            try:
-                v = float(tokens[2])
-            except ValueError:
-                raise ParseError(lineno, f"invalid real value {tokens[2]!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(lineno, f"non-finite value {tokens[2]!r}")
+            v = _finite_float(tokens[2], lineno, "real value")
         else:
             try:
                 v = complex(float(tokens[2]), float(tokens[3]))
@@ -166,7 +187,7 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
             triples.append(Triple(r, c, v))
         seen += 1
     if seen != nnz:
-        raise ParseError(lineno, f"declared {nnz} entries but found {seen}")
+        raise ParseError(data.lineno, f"declared {nnz} entries but found {seen}")
     coo = build_from_triples(nrows, ncols, triples, plus_monoid(domain))
     return coo, MatrixDescriptor(symmetric=symmetric)
 
@@ -177,6 +198,35 @@ def _format_value(v, domain: ValueDomain) -> str:
     if domain.is_float:
         return repr(float(v))
     return str(v)
+
+
+def serializable_field(m: CooMatrix) -> str:
+    """The Matrix Market field `m` is written with.
+
+    Raises UnserializableDomainError when some value has no form the reader
+    accepts, so callers can refuse a write before opening its destination.
+    """
+    d = m.domain
+    if d.is_opaque:
+        raise UnserializableDomainError("opaque-handle values have no text form")
+    if d.is_boolean:
+        for t in m.triples:
+            if not t.val:
+                raise UnserializableDomainError(
+                    "pattern file cannot store a false value "
+                    f"(at row {t.row}, column {t.col})"
+                )
+        return "pattern"
+    if d.is_integer:
+        return "integer"
+    isfinite = math.isfinite if d.is_float else cmath.isfinite
+    for t in m.triples:
+        if not isfinite(t.val):
+            raise UnserializableDomainError(
+                f"non-finite value {t.val!r} has no Matrix Market form "
+                f"(at row {t.row}, column {t.col})"
+            )
+    return "real" if d.is_float else "complex"
 
 
 def write_matrix_market(m, stream: IO[str]) -> None:
@@ -190,27 +240,7 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     if isinstance(m, CompressedMatrix):
         m = to_tuples(m)
     d = m.domain
-    if d.is_opaque:
-        raise UnserializableDomainError("opaque-handle values have no text form")
-    if d.is_boolean:
-        field = "pattern"
-        for t in m.triples:
-            if not t.val:
-                raise UnserializableDomainError(
-                    "pattern file cannot store a false value "
-                    f"(at row {t.row}, column {t.col})"
-                )
-    elif d.is_integer:
-        field = "integer"
-    else:
-        field = "real" if d.is_float else "complex"
-        isfinite = math.isfinite if d.is_float else cmath.isfinite
-        for t in m.triples:
-            if not isfinite(t.val):
-                raise UnserializableDomainError(
-                    f"non-finite value {t.val!r} has no Matrix Market form "
-                    f"(at row {t.row}, column {t.col})"
-                )
+    field = serializable_field(m)
     stream.write(f"%%MatrixMarket matrix coordinate {field} general\n")
     stream.write(f"{m.nrows} {m.ncols} {len(m.triples)}\n")
     if field == "pattern":
@@ -234,11 +264,8 @@ def read_edge_list(stream: Iterable[str], weighted: bool = False,
     want = 3 if weighted else 2
     triples: list[Triple] = []
     top = -1
-    for lineno, raw in enumerate(stream, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        tokens = text.split()
+    data = _DataLines(stream, "#")
+    for lineno, tokens in data:
         if len(tokens) != want:
             raise ParseError(
                 lineno, f"expected {want} columns (got {len(tokens)})"
@@ -247,20 +274,12 @@ def read_edge_list(stream: Iterable[str], weighted: bool = False,
             u = int(tokens[0])
             v = int(tokens[1])
         except ValueError:
-            raise ParseError(lineno, f"invalid vertex index in {text!r}") from None
+            raise ParseError(lineno, f"invalid vertex index in {data.text!r}") from None
         if u < 0 or v < 0:
             raise IndexRangeError(
                 f"line {lineno}: negative vertex index {min(u, v)}"
             )
-        if weighted:
-            try:
-                w = float(tokens[2])
-            except ValueError:
-                raise ParseError(lineno, f"invalid weight {tokens[2]!r}") from None
-            if w != w or w in (float("inf"), float("-inf")):
-                raise ParseError(lineno, f"non-finite weight {tokens[2]!r}")
-        else:
-            w = 1
+        w = _finite_float(tokens[2], lineno, "weight") if weighted else 1
         top = max(top, u, v)
         triples.append(Triple(u, v, w))
         if undirected and u != v:

@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from .domains import BOOLEAN, ValueDomain, ulp_distance
+from .domains import BOOLEAN, FLOAT32, ValueDomain, domain_from_kind, ulp_distance
 from .errors import (
     DomainMismatchError,
     DuplicateNameError,
@@ -173,16 +173,12 @@ def tropical_plus_op(domain: ValueDomain, absorbing) -> BinaryOp:
     sums short-circuit so that +inf plus -inf cannot produce a NaN.
     """
     _ordered_numeric(domain)
-    if domain.is_integer:
-        def fn(a, b, _d=domain, _z=absorbing):
-            if a == _z or b == _z:
-                return _z
-            return _d.clamp(a + b)
-    else:
-        def fn(a, b, _d=domain, _z=absorbing):
-            if a == _z or b == _z:
-                return _z
-            return _d.normalize(a + b)
+    fit = domain.clamp if domain.is_integer else domain.normalize
+
+    def fn(a, b, _z=absorbing, _fit=fit):
+        if a == _z or b == _z:
+            return _z
+        return _fit(a + b)
     return BinaryOp("tropical_plus", domain, fn)
 
 
@@ -201,9 +197,13 @@ def select2nd_op(domain: ValueDomain, absorbing) -> BinaryOp:
 # Law checking
 
 
-def _values_equal(domain: ValueDomain, a, b, ulp_tol: int) -> bool:
+# Float and complex law checks accept results this many ULPs apart.
+_ULP_TOL = 1
+
+
+def _values_equal(domain: ValueDomain, a, b) -> bool:
     if domain.is_float or domain.is_complex:
-        return ulp_distance(a, b, domain) <= ulp_tol
+        return ulp_distance(a, b, domain) <= _ULP_TOL
     return a == b
 
 
@@ -234,8 +234,8 @@ def law_sample_pool(s: Semiring, rng: random.Random, size: int = 64) -> list:
             return d.normalize(10.0 ** rng.uniform(-6.0, 6.0))
 
         if rounding_add:
-            big = 3.4028234663852886e38 if d.kind == "float-single" else 1.7976931348623157e308
-            tiny = 1.401298464324817e-45 if d.kind == "float-single" else 5e-324
+            big = 3.4028234663852886e38 if d == FLOAT32 else 1.7976931348623157e308
+            tiny = 1.401298464324817e-45 if d == FLOAT32 else 5e-324
             pool = [0.0, 0.5, 1.0, 2.0, big, tiny]
             while len(pool) < size:
                 pool.append(draw())
@@ -258,13 +258,13 @@ def law_sample_pool(s: Semiring, rng: random.Random, size: int = 64) -> list:
     )
 
 
-def check_law_triples(s: Semiring, triples: Iterable[tuple], ulp_tol: int = 1) -> None:
+def check_law_triples(s: Semiring, triples: Iterable[tuple]) -> None:
     """Check add commutativity/associativity/identity and the annihilator.
 
     Each law is verified in its own full pass over the triples so the
     reported failure names the simplest broken law, not whichever check
     happened to run first.  Exact domains must match exactly; float and
-    complex domains within `ulp_tol` units in the last place.
+    complex domains within `_ULP_TOL` units in the last place.
     """
     add = s.add.op.eval
     mul = s.mul.eval
@@ -272,19 +272,19 @@ def check_law_triples(s: Semiring, triples: Iterable[tuple], ulp_tol: int = 1) -
     d = s.domain
     triples = list(triples)
     for a, b, _c in triples:
-        if not _values_equal(d, add(a, b), add(b, a), ulp_tol):
+        if not _values_equal(d, add(a, b), add(b, a)):
             raise LawCheckError("commutativity", (a, b))
     for a, b, c in triples:
         left = add(add(a, b), c)
         right = add(a, add(b, c))
-        if not _values_equal(d, left, right, ulp_tol):
+        if not _values_equal(d, left, right):
             raise LawCheckError("associativity", (a, b, c))
     for a, _b, _c in triples:
-        if not _values_equal(d, add(a, zero), a, ulp_tol):
+        if not _values_equal(d, add(a, zero), a):
             raise LawCheckError("identity", (a,))
     for a, _b, _c in triples:
-        if not _values_equal(d, mul(zero, a), zero, ulp_tol) or not _values_equal(
-            d, mul(a, zero), zero, ulp_tol
+        if not _values_equal(d, mul(zero, a), zero) or not _values_equal(
+            d, mul(a, zero), zero
         ):
             raise LawCheckError("annihilator", (a,))
 
@@ -301,57 +301,28 @@ def verify_semiring_laws(s: Semiring, samples: Sequence | None = None) -> None:
 # ---------------------------------------------------------------------------
 # Registry
 
-_ORDERED_KINDS = frozenset(
-    k for k in (
-        "signed-int-8", "signed-int-16", "signed-int-32", "signed-int-64",
-        "unsigned-int-8", "unsigned-int-16", "unsigned-int-32", "unsigned-int-64",
-        "float-single", "float-double",
-    )
-)
-_NUMERIC_KINDS = _ORDERED_KINDS | {"complex-double"}
+def _absorbing(add_of, mul_of):
+    """Builder for a family whose multiplication absorbs the add identity."""
+    def build(domain: ValueDomain) -> tuple[Monoid, BinaryOp]:
+        add = add_of(domain)
+        return add, mul_of(domain, add.identity)
+    return build
 
-_FAMILY_SUPPORT = {
-    "plus_times": _NUMERIC_KINDS,
-    "max_plus": _ORDERED_KINDS,
-    "min_plus": _ORDERED_KINDS,
-    "min_max": _ORDERED_KINDS,
-    "or_and": frozenset({"boolean"}),
-    "min_select2nd": _ORDERED_KINDS,
+
+# Each built-in family: its canonical domain kind and a builder of its
+# (additive monoid, multiplication) over a domain.  The op factories refuse
+# the domains a family is not defined over.
+_FAMILIES: dict[str, tuple[str, Callable[[ValueDomain], tuple[Monoid, BinaryOp]]]] = {
+    "plus_times": ("float-double", lambda d: (plus_monoid(d), times_op(d))),
+    "max_plus": ("float-double", _absorbing(max_monoid, tropical_plus_op)),
+    "min_plus": ("float-double", _absorbing(min_monoid, tropical_plus_op)),
+    "min_max": ("signed-int-64",
+                lambda d: (min_monoid(d), BinaryOp("max", d, max_monoid(d).op.eval))),
+    "or_and": ("boolean", lambda d: (or_monoid(), and_op())),
+    "min_select2nd": ("signed-int-64", _absorbing(min_monoid, select2nd_op)),
 }
 
-_CANONICAL_DOMAIN = {
-    "plus_times": "float-double",
-    "max_plus": "float-double",
-    "min_plus": "float-double",
-    "min_max": "signed-int-64",
-    "or_and": "boolean",
-    "min_select2nd": "signed-int-64",
-}
-
-CANONICAL_NAMES = tuple(
-    f"{family}/{kind}" for family, kind in _CANONICAL_DOMAIN.items()
-)
-
-
-def _build_family(family: str, domain: ValueDomain) -> Semiring:
-    name = f"{family}/{domain.kind}"
-    if family == "plus_times":
-        return Semiring(name, plus_monoid(domain), times_op(domain))
-    if family == "max_plus":
-        add = max_monoid(domain)
-        return Semiring(name, add, tropical_plus_op(domain, add.identity))
-    if family == "min_plus":
-        add = min_monoid(domain)
-        return Semiring(name, add, tropical_plus_op(domain, add.identity))
-    if family == "min_max":
-        add = min_monoid(domain)
-        return Semiring(name, add, BinaryOp("max", domain, max_monoid(domain).op.eval))
-    if family == "or_and":
-        return Semiring(name, or_monoid(), and_op())
-    if family == "min_select2nd":
-        add = min_monoid(domain)
-        return Semiring(name, add, select2nd_op(domain, add.identity))
-    raise UnknownSemiringError(f"unknown semiring family {family!r}")
+CANONICAL_NAMES = tuple(f"{family}/{kind}" for family, (kind, _) in _FAMILIES.items())
 
 
 _registry: dict[str, Semiring] = {}
@@ -371,19 +342,22 @@ def registry_get(name: str) -> Semiring:
     if found is not None:
         return found
     family, _, kind = name.partition("/")
-    if family not in _FAMILY_SUPPORT:
+    if family not in _FAMILIES:
         raise UnknownSemiringError(f"unknown semiring {name!r}")
-    kind = kind or _CANONICAL_DOMAIN[family]
-    if kind not in _FAMILY_SUPPORT[family]:
-        raise UnsupportedDomainError(f"{family} is not defined over {kind!r}")
+    canonical, build = _FAMILIES[family]
+    kind = kind or canonical
     full = f"{family}/{kind}"
     with _registry_lock:
         found = _registry.get(full)
         if found is None:
-            from .domains import domain_from_kind
-
-            found = _build_family(family, domain_from_kind(kind))
-            _registry[full] = found
+            try:
+                domain = domain_from_kind(kind)
+                add, mul = build(domain)
+                if add.domain != domain:  # or_and builds over boolean whatever it is given
+                    raise UnsupportedDomainError(kind)
+            except UnsupportedDomainError:
+                raise UnsupportedDomainError(f"{family} is not defined over {kind!r}") from None
+            found = _registry[full] = Semiring(full, add, mul)
     return found
 
 
@@ -396,7 +370,7 @@ def register_semiring(s: Semiring, samples: Sequence | None = None) -> str:
     generated pool for the domain.  Returns the registered name.
     """
     family = s.name.partition("/")[0]
-    if family in _FAMILY_SUPPORT:
+    if family in _FAMILIES:
         raise DuplicateNameError(
             f"{s.name!r} collides with the built-in family {family!r}"
         )

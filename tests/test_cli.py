@@ -354,6 +354,56 @@ def test_non_finite_matrix_market_value_is_data_error(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture()
+def overflowing_files(tmp_path):
+    """A matrix whose products overflow to inf, and a vector to multiply it by."""
+    big = tmp_path / "big.mtx"
+    big.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n"
+        "1 1 1e308\n"
+        "2 2 2.0\n"
+    )
+    v = tmp_path / "v.mtx"
+    v.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 1 2\n"
+        "1 1 10.0\n"
+        "2 1 1.0\n"
+    )
+    return str(big), str(v)
+
+
+def test_result_json_cannot_carry_is_data_error(capsys, overflowing_files):
+    big, v = overflowing_files
+    assert run(["mxv", "--semiring", "plus_times", big, v]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the mxv result holds inf or nan, which JSON cannot carry "
+        "(--format tsv prints it)\n"
+    )
+    assert run(["mxv", "--semiring", "plus_times", "--format", "tsv", big, v]) == 0
+    assert capsys.readouterr().out == "length\t2\nentries\t0\tinf\nentries\t1\t2.0\n"
+
+
+def test_refused_write_leaves_output_path_untouched(capsys, tmp_path, overflowing_files):
+    big, _v = overflowing_files
+    fresh = tmp_path / "fresh.mtx"
+    kept = tmp_path / "kept.mtx"
+    kept.write_bytes(b"earlier contents\n")
+    for out in (fresh, kept):
+        assert run(["mxm", "--semiring", "plus_times", big, big, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: non-finite value inf has no Matrix Market form "
+            "(at row 0, column 0)\n"
+        )
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier contents\n"
+
+
 def test_pagerank_alpha_out_of_range_is_exit_3(capsys, tmp_path):
     p = tmp_path / "cycle.tsv"
     p.write_text("0 1\n1 2\n2 0\n")

@@ -1,4 +1,5 @@
-"""The README's quick example and the demo script still run as documented."""
+"""The README's quick example, its semiring table and the demo script still
+match what the code does."""
 
 import contextlib
 import io
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from sgk.semirings import CANONICAL_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +32,14 @@ def test_demo_script_runs():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_semiring_table_matches_the_registry():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"## Semirings\n.*?(\| Family .*?)\n\n", readme, re.S).group(1)
+    header, _rule, *rows = [
+        [cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()
+    ]
+    family, domain = header.index("Family"), header.index("Canonical domain")
+    documented = tuple(f"{row[family].strip('`')}/{row[domain]}" for row in rows)
+    assert documented == CANONICAL_NAMES

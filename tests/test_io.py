@@ -380,6 +380,30 @@ def test_edge_list_bad_tokens():
         el("0 1 nan\n", weighted=True)
 
 
+_BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (mm, "", "line 1: empty stream"),
+    (mm, _BANNER, "line 1: missing size line"),
+    (mm, _BANNER + "% c\n\n", "line 3: missing size line"),
+    (mm, _BANNER + "\n2 2 1\n\n", "line 4: declared 1 entries but found 0"),
+    (mm, _BANNER + "2 2 2\n1 1 1.0\n% trailing\n\n", "line 5: declared 2 entries but found 1"),
+    (mm, _BANNER + "2 2 1\n1 1 1.0\n%\n2 2 1.0\n", "line 5: more than the declared 1 entries"),
+    (mm, _BANNER + "2 2 1\n1 1 x\n", "line 3: invalid real value 'x'"),
+    (mm, _BANNER + "2 2 1\n1 1 -inf\n", "line 3: non-finite value '-inf'"),
+    (el, "# c\n\n0\t x\n", "line 3: invalid vertex index in '0\\t x'"),
+    (lambda t: el(t, weighted=True), "\n0 1 y\n", "line 2: invalid weight 'y'"),
+    (lambda t: el(t, weighted=True), "0 1 1\n0 1 NaN\n", "line 2: non-finite weight 'NaN'"),
+])
+def test_reader_errors_name_the_line_and_quote_it(read, text, message):
+    """End-of-input errors name the last line read, blank or comment lines
+    included, and a bad vertex index quotes the whole stripped line."""
+    with pytest.raises(ParseError) as e:
+        read(text)
+    assert str(e.value) == message
+
+
 def test_edge_list_empty_stream_is_empty_matrix():
     m = el("# nothing\n")
     assert (m.nrows, m.ncols, m.triples) == (0, 0, ())

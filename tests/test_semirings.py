@@ -77,6 +77,67 @@ def test_unknown_name_and_unsupported_domain():
         registry_get("plus_times/opaque-handle")
 
 
+# The encoded (-inf, +inf) of each ordered domain: the max- and min-monoid
+# identities.
+_BOUNDS = {
+    "signed-int-8": (-128, 127),
+    "signed-int-16": (-32768, 32767),
+    "signed-int-32": (-2147483648, 2147483647),
+    "signed-int-64": (-9223372036854775808, 9223372036854775807),
+    "unsigned-int-8": (0, 255),
+    "unsigned-int-16": (0, 65535),
+    "unsigned-int-32": (0, 4294967295),
+    "unsigned-int-64": (0, 18446744073709551615),
+    "float-single": (-math.inf, math.inf),
+    "float-double": (-math.inf, math.inf),
+}
+_MAX_ZEROS = {kind: lo for kind, (lo, _hi) in _BOUNDS.items()}
+_MIN_ZEROS = {kind: hi for kind, (_lo, hi) in _BOUNDS.items()}
+_PLUS_ZEROS = {**{kind: 0 for kind in _BOUNDS if "int" in kind},
+               "float-single": 0.0, "float-double": 0.0, "complex-double": 0j}
+
+# family: (add op, mul op, canonical kind, additive identity per defined kind)
+_GRID = {
+    "plus_times": ("plus", "times", "float-double", _PLUS_ZEROS),
+    "max_plus": ("max", "tropical_plus", "float-double", _MAX_ZEROS),
+    "min_plus": ("min", "tropical_plus", "float-double", _MIN_ZEROS),
+    "min_max": ("min", "max", "signed-int-64", _MIN_ZEROS),
+    "or_and": ("or", "and", "boolean", {"boolean": False}),
+    "min_select2nd": ("min", "select2nd", "signed-int-64", _MIN_ZEROS),
+}
+
+
+def _expected_lookup(name: str):
+    """What registry_get(name) returns, or the exception it raises."""
+    if not name:
+        return UnknownSemiringError, "invalid semiring name ''"
+    family, _, kind = name.partition("/")
+    if family not in _GRID:
+        return UnknownSemiringError, f"unknown semiring {name!r}"
+    add, mul, canonical, zeros = _GRID[family]
+    kind = kind or canonical
+    if kind not in zeros:
+        return UnsupportedDomainError, f"{family} is not defined over {kind!r}"
+    return f"{family}/{kind}", kind, repr(zeros[kind]), add, mul
+
+
+def test_registry_resolves_every_family_and_kind_spelling():
+    kinds = ["boolean", *_BOUNDS, "complex-double", "opaque-handle"]
+    names = [
+        name
+        for family in [*_GRID, "no_such", ""]
+        for name in [family, *(f"{family}/{k}" for k in [*kinds, "no-such-kind"])]
+    ]
+    assert len(names) == 8 * 15
+    for name in names:
+        try:
+            s = registry_get(name)
+            got = (s.name, s.domain.kind, repr(s.zero), s.add.op.name, s.mul.name)
+        except (UnknownSemiringError, UnsupportedDomainError) as e:
+            got = (type(e), str(e))
+        assert got == _expected_lookup(name), name
+
+
 def test_encoded_infinities():
     assert registry_get("min_plus/signed-int-64").zero == 2**63 - 1
     assert registry_get("max_plus/signed-int-64").zero == -(2**63)
