@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs of two revisions and compare them.
+
+    python3 scripts/ab_pairs.py BASE CHANGE --workload products --seed 7 --pairs 10
+
+BASE and CHANGE are git revisions of this repository (pass `$(git stash
+create)` as CHANGE to measure uncommitted work).  Each is extracted with
+`git archive REV | tar -x` into a temporary directory, and
+`perfbench/run.py --trace 0` runs from each extracted tree, so each side
+runs its own benchmark against its own src/.  Every run lasts the
+`run_seconds` that both trees' BENCHMARK.json declare.  Pair k runs BASE first when k
+is even and CHANGE first when it is odd.
+
+Every run is printed as it finishes.  Then, for each end-to-end metric
+(all lower-is-better), each side's median and quartiles, the pairs each side
+won (a tie counts for neither) and whether CHANGE shows a gain: it won at
+least nine tenths of the pairs and its median is below BASE's by more than
+BASE's interquartile range.  Exits 1 when any run fails or reports an
+incorrect output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRICS = ("setup_s", "pass_s", "peak_rss_mb")
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(xs) < 2:
+        return (xs[0],) * 3
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def compare(base: list[float], change: list[float]) -> dict:
+    """Summarise paired runs of a lower-is-better metric; `base[k]` and
+    `change[k]` are the two sides of pair k."""
+    if len(base) != len(change) or not base:
+        raise ValueError("need the same non-zero number of runs on each side")
+    change_wins = sum(c < b for b, c in zip(base, change))
+    base_wins = sum(b < c for b, c in zip(base, change))
+    bq1, bmed, bq3 = quartiles(base)
+    cq = quartiles(change)
+    return {
+        "base": (bq1, bmed, bq3),
+        "change": cq,
+        "change_wins": change_wins,
+        "base_wins": base_wins,
+        "ties": len(base) - change_wins - base_wins,
+        "gain": change_wins >= 0.9 * len(base) and bmed - cq[1] > bq3 - bq1,
+    }
+
+
+def extract(rev: str, dest: str) -> None:
+    """Write the tree of `rev` into `dest` (git archive piped into tar)."""
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"error: cannot extract revision {rev!r}")
+
+
+def run_seconds(tree: str) -> float:
+    """The run length the benchmark in `tree` declares."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
+        return json.load(f)["run_seconds"]
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result of one untraced benchmark run in `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: benchmark run in {tree} exited {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+
+    runs: dict[str, dict[str, list[float]]] = {"base": {}, "change": {}}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        trees = {}
+        for side in ("base", "change"):
+            trees[side] = os.path.join(tmp, side)
+            os.mkdir(trees[side])
+            extract(getattr(args, side), trees[side])
+        seconds = run_seconds(trees["base"])
+        if run_seconds(trees["change"]) != seconds:
+            raise SystemExit("error: the two revisions declare different run_seconds")
+        for k in range(args.pairs):
+            order = ("base", "change") if k % 2 == 0 else ("change", "base")
+            for side in order:
+                result = run_once(trees[side], args.workload, args.seed, seconds)
+                ok = ok and result["correct"] and result["failed"] == 0
+                values = {m: result["metrics"][m]["value"] for m in METRICS}
+                for m, v in values.items():
+                    runs[side].setdefault(m, []).append(v)
+                print(f"pair {k} {side}: correct {result['correct']}, failed "
+                      f"{result['failed']}/{result['attempted']}, "
+                      + ", ".join(f"{m} {v:.4f}" for m, v in values.items()), flush=True)
+
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
+          f"base {args.base} vs change {args.change}")
+    for m in METRICS:
+        c = compare(runs["base"][m], runs["change"][m])
+        print(f"{m}: base {c['base'][1]:.4f} [{c['base'][0]:.4f}, {c['base'][2]:.4f}]  "
+              f"change {c['change'][1]:.4f} [{c['change'][0]:.4f}, {c['change'][2]:.4f}]  "
+              f"change wins {c['change_wins']}, base wins {c['base_wins']}, ties {c['ties']}  "
+              f"gain {'yes' if c['gain'] else 'no'}")
+    print(json.dumps(runs))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .containers import (
+    COL,
     CompressedMatrix,
     SparseVector,
     build_from_triples,
@@ -20,6 +21,7 @@ from .containers import (
     entries_of,
     is_symmetric,
     pattern_complement,
+    reorient,
     to_compressed,
     vector_as_column,
     vector_entries,
@@ -131,10 +133,8 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     sr = registry_get(f"min_plus/{d.kind}")
     zero_w = 0.0 if d.is_float else 0
     loops = [(i, i, zero_w) for i in range(n)]
-    aug = to_compressed(
-        build_from_triples(n, n, list(entries) + loops, sr.add),
-        a.orientation,
-    )
+    # Column-major once, so the transposed products below never reorient.
+    aug = to_compressed(build_from_triples(n, n, list(entries) + loops, sr.add), COL)
     dist = vector_from_entries(n, [(source, zero_w)], d)
     for _ in range(n):
         nxt = mxv(aug, dist, sr, transpose_input=True)
@@ -253,7 +253,8 @@ def pagerank(a: CompressedMatrix, alpha: float = 0.85, max_iters: int = 100,
             "pagerank: graph has a vertex with no out-edges"
         )
     inv = apply_unary(outdeg, UnaryOp("reciprocal", FLOAT64, FLOAT64, lambda x: 1.0 / x))
-    p = scale_matrix(pat, inv, sr.mul, "rows")
+    # Column-major once, so the transposed products below never reorient.
+    p = reorient(scale_matrix(pat, inv, sr.mul, "rows"), COL)
     base = (1.0 - alpha) / n
     damp = UnaryOp("damp", FLOAT64, FLOAT64, lambda x: alpha * x + base)
     absdiff = BinaryOp("absdiff", FLOAT64, lambda x, y: abs(x - y))

@@ -42,6 +42,7 @@ from .errors import (
     UsageError,
 )
 from .io_formats import (
+    edge_list_is_weighted,
     read_edge_list,
     read_matrix_market,
     serializable_field,
@@ -159,14 +160,8 @@ def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
                 )
             coo, _desc = read_matrix_market(lines)
         else:
-            weighted = False
-            for raw in lines:
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                weighted = len(text.split()) == 3
-                break
-            coo = read_edge_list(lines, weighted=weighted, undirected=undirected)
+            coo = read_edge_list(lines, weighted=edge_list_is_weighted(lines),
+                                 undirected=undirected)
         return to_compressed(coo)
     except (ParseError, IndexRangeError, DuplicateIndexError, DomainMismatchError) as e:
         raise _DataError(f"{path}: {e}") from e

@@ -144,6 +144,7 @@ def build_from_triples(nrows: int, ncols: int,
     checked against it.
     """
     domain = dup.domain
+    contains = domain.contains
     seen: dict[tuple[int, int], Any] = {}
     for pos, t in enumerate(triples):
         r, c, v = t
@@ -153,7 +154,8 @@ def build_from_triples(nrows: int, ncols: int,
                 f"triple {pos}: position ({r!r}, {c!r}) out of range for "
                 f"{nrows}x{ncols} matrix"
             )
-        domain.check_value(v)
+        if not contains(v):
+            domain.check_value(v)
         key = (r, c)
         if key in seen:
             seen[key] = dup.op.eval(seen[key], v)
@@ -167,6 +169,7 @@ def vector_from_entries(length: int,
                         entries: Iterable[tuple[int, Any]],
                         domain: ValueDomain) -> SparseVector:
     """Build a sparse vector; duplicate indices are an error."""
+    contains = domain.contains
     pairs = []
     seen: set[int] = set()
     for i, v in entries:
@@ -175,7 +178,8 @@ def vector_from_entries(length: int,
         if i in seen:
             raise DuplicateIndexError(f"duplicate vector index {i}")
         seen.add(i)
-        domain.check_value(v)
+        if not contains(v):
+            domain.check_value(v)
         pairs.append((i, v))
     pairs.sort(key=lambda p: p[0])
     return SparseVector(length, tuple(pairs), domain)

@@ -11,29 +11,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from .errors import DomainMismatchError, UnsupportedDomainError
-
-_INT_KINDS = {
-    "signed-int-8": (8, True),
-    "signed-int-16": (16, True),
-    "signed-int-32": (32, True),
-    "signed-int-64": (64, True),
-    "unsigned-int-8": (8, False),
-    "unsigned-int-16": (16, False),
-    "unsigned-int-32": (32, False),
-    "unsigned-int-64": (64, False),
-}
-
-_ALL_KINDS = (
-    "boolean",
-    *_INT_KINDS,
-    "float-single",
-    "float-double",
-    "complex-double",
-    "opaque-handle",
-)
 
 
 def _round_to_single(x: float) -> float:
@@ -46,88 +27,119 @@ def _round_to_single(x: float) -> float:
     return y
 
 
+def _identity(value):
+    return value
+
+
+class _Kind(NamedTuple):
+    """What a domain kind resolves to; one record per kind, built at import."""
+
+    family: str                       # boolean, integer, float, complex or opaque
+    lo: Any                           # smallest value, None when unordered
+    hi: Any                           # largest value, None when unordered
+    contains: Callable[[Any], bool]
+    normalize: Callable[[Any], Any] = _identity  # rounds float-single results
+    wrap: Callable[[int], int] | None = None  # two's complement, integers only
+    bits: int | None = None
+
+
+def _integer(bits: int, signed: bool) -> _Kind:
+    size = 1 << bits
+    lo, hi = (-(size >> 1), (size >> 1) - 1) if signed else (0, size - 1)
+
+    def contains(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+
+    def wrap(value: int) -> int:
+        m = value & (size - 1)
+        return m - size if m > hi else m
+
+    return _Kind("integer", lo, hi, contains, wrap=wrap, bits=bits)
+
+
+def _is_single(value) -> bool:
+    return isinstance(value, float) and (math.isnan(value) or _round_to_single(value) == value)
+
+
+# In the order of ALL_DOMAINS, which names its members below.
+_KINDS = {
+    "boolean": _Kind("boolean", False, True, lambda v: isinstance(v, bool)),
+    **{f"{sign}-int-{bits}": _integer(bits, sign == "signed")
+       for sign in ("signed", "unsigned") for bits in (8, 16, 32, 64)},
+    "float-single": _Kind("float", -math.inf, math.inf, _is_single, _round_to_single),
+    "float-double": _Kind("float", -math.inf, math.inf, lambda v: isinstance(v, float)),
+    "complex-double": _Kind("complex", None, None, lambda v: isinstance(v, complex)),
+    # Opaque handles accept any equality-comparable object.
+    "opaque-handle": _Kind("opaque", None, None, lambda v: True),
+}
+
+
 @dataclass(frozen=True)
 class ValueDomain:
-    """A named scalar carrier set."""
+    """A named scalar carrier set, resolved from `_KINDS` once when built.
+
+    `contains(value)` is the kind's membership predicate itself, so a caller
+    checking many values can bind it once.
+    """
 
     kind: str
+    _k: _Kind = field(init=False, repr=False, compare=False)
+    contains: Callable[[Any], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in _KINDS:
             raise UnsupportedDomainError(f"unknown value domain kind {self.kind!r}")
+        object.__setattr__(self, "_k", _KINDS[self.kind])
+        object.__setattr__(self, "contains", self._k.contains)
+
+    def __reduce__(self):
+        # The resolved record holds closures; pickle the kind alone and
+        # unpickle to the canonical domain.
+        return domain_from_kind, (self.kind,)
 
     @property
     def is_boolean(self) -> bool:
-        return self.kind == "boolean"
+        return self._k.family == "boolean"
 
     @property
     def is_integer(self) -> bool:
-        return self.kind in _INT_KINDS
+        return self._k.family == "integer"
 
     @property
     def is_signed(self) -> bool:
-        return self.kind in _INT_KINDS and _INT_KINDS[self.kind][1]
+        return self.is_integer and self._k.lo < 0
 
     @property
     def bits(self) -> int:
-        if self.kind not in _INT_KINDS:
+        if self._k.bits is None:
             raise UnsupportedDomainError(f"{self.kind} has no integer width")
-        return _INT_KINDS[self.kind][0]
+        return self._k.bits
 
     @property
     def is_float(self) -> bool:
-        return self.kind in ("float-single", "float-double")
+        return self._k.family == "float"
 
     @property
     def is_complex(self) -> bool:
-        return self.kind == "complex-double"
+        return self._k.family == "complex"
 
     @property
     def is_opaque(self) -> bool:
-        return self.kind == "opaque-handle"
+        return self._k.family == "opaque"
 
     @property
     def min_value(self):
         """Smallest representable value; the encoding of -inf for max-monoids."""
-        if self.is_boolean:
-            return False
-        if self.is_integer:
-            bits, signed = _INT_KINDS[self.kind]
-            return -(1 << (bits - 1)) if signed else 0
-        if self.is_float:
-            return -math.inf
-        raise UnsupportedDomainError(f"{self.kind} has no minimum value")
+        if self._k.lo is None:
+            raise UnsupportedDomainError(f"{self.kind} has no minimum value")
+        return self._k.lo
 
     @property
     def max_value(self):
         """Largest representable value; the encoding of +inf for min-monoids."""
-        if self.is_boolean:
-            return True
-        if self.is_integer:
-            bits, signed = _INT_KINDS[self.kind]
-            return (1 << (bits - 1)) - 1 if signed else (1 << bits) - 1
-        if self.is_float:
-            return math.inf
-        raise UnsupportedDomainError(f"{self.kind} has no maximum value")
-
-    def contains(self, value) -> bool:
-        if self.is_boolean:
-            return isinstance(value, bool)
-        if self.is_integer:
-            if isinstance(value, bool) or not isinstance(value, int):
-                return False
-            return self.min_value <= value <= self.max_value
-        if self.kind == "float-double":
-            return isinstance(value, float)
-        if self.kind == "float-single":
-            if not isinstance(value, float):
-                return False
-            if math.isnan(value):
-                return True
-            return _round_to_single(value) == value
-        if self.is_complex:
-            return isinstance(value, complex)
-        return True  # opaque handles accept any equality-comparable object
+        if self._k.hi is None:
+            raise UnsupportedDomainError(f"{self.kind} has no maximum value")
+        return self._k.hi
 
     def check_value(self, value) -> None:
         if not self.contains(value):
@@ -139,51 +151,22 @@ class ValueDomain:
         Only float-single actually changes anything: arithmetic is performed
         in double precision and re-rounded to 32-bit afterwards.
         """
-        if self.kind == "float-single":
-            return _round_to_single(value)
-        return value
+        return self._k.normalize(value)
 
     def wrap(self, value: int) -> int:
         """Two's-complement wraparound into the integer domain's range."""
-        bits, signed = _INT_KINDS[self.kind]
-        m = value & ((1 << bits) - 1)
-        if signed and m >= (1 << (bits - 1)):
-            m -= 1 << bits
-        return m
+        if self._k.wrap is None:
+            raise UnsupportedDomainError(f"{self.kind} has no integer width")
+        return self._k.wrap(value)
 
     def clamp(self, value: int) -> int:
         """Saturate an integer into the domain's range."""
-        lo, hi = self.min_value, self.max_value
-        if value < lo:
-            return lo
-        if value > hi:
-            return hi
-        return value
+        return min(max(value, self.min_value), self.max_value)
 
 
-BOOLEAN = ValueDomain("boolean")
-INT8 = ValueDomain("signed-int-8")
-INT16 = ValueDomain("signed-int-16")
-INT32 = ValueDomain("signed-int-32")
-INT64 = ValueDomain("signed-int-64")
-UINT8 = ValueDomain("unsigned-int-8")
-UINT16 = ValueDomain("unsigned-int-16")
-UINT32 = ValueDomain("unsigned-int-32")
-UINT64 = ValueDomain("unsigned-int-64")
-FLOAT32 = ValueDomain("float-single")
-FLOAT64 = ValueDomain("float-double")
-COMPLEX128 = ValueDomain("complex-double")
-OPAQUE = ValueDomain("opaque-handle")
-
-ALL_DOMAINS = (
-    BOOLEAN,
-    INT8, INT16, INT32, INT64,
-    UINT8, UINT16, UINT32, UINT64,
-    FLOAT32, FLOAT64,
-    COMPLEX128,
-    OPAQUE,
-)
-
+ALL_DOMAINS = tuple(ValueDomain(kind) for kind in _KINDS)
+(BOOLEAN, INT8, INT16, INT32, INT64, UINT8, UINT16, UINT32, UINT64,
+ FLOAT32, FLOAT64, COMPLEX128, OPAQUE) = ALL_DOMAINS
 _BY_KIND = {d.kind: d for d in ALL_DOMAINS}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .containers import CooMatrix, CompressedMatrix, MatrixDescriptor, Triple, build_from_triples, to_tuples
 from .domains import COMPLEX128, FLOAT64, INT64, ValueDomain
@@ -249,6 +249,17 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     else:
         for t in m.triples:
             stream.write(f"{t.row + 1} {t.col + 1} {_format_value(t.val, d)}\n")
+
+
+def edge_list_is_weighted(lines: Sequence[str]) -> bool:
+    """Whether a TSV edge list is weighted: its first data line has three columns.
+
+    `lines` is read again by the caller's `read_edge_list`, so it must be a
+    sequence; a file object or generator would lose the line read here.
+    """
+    for _lineno, tokens in _DataLines(lines, "#"):
+        return len(tokens) == 3
+    return False
 
 
 def read_edge_list(stream: Iterable[str], weighted: bool = False,

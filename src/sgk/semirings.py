@@ -21,6 +21,7 @@ sparse kernels rely on would not hold at the domain boundaries.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import threading
 from dataclasses import dataclass, field
@@ -106,19 +107,40 @@ class Semiring:
 
 # ---------------------------------------------------------------------------
 # Operation factories
+#
+# Bounds and rounding are resolved when an op is built, not per call.  An
+# integer result goes through wrap or clamp only when it is out of range,
+# since both are the identity in range; only float-single results round.
+
+
+def _rounded(domain: ValueDomain, op: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """`op` over a float or complex domain: float-single results are rounded
+    to 32 bits, the others are used as computed."""
+    if domain == FLOAT32:
+        return lambda a, b, _n=domain.normalize: _n(op(a, b))
+    return op
+
+
+def _fitted(domain: ValueDomain, op: Callable[[int, int], int],
+            fit: Callable[[int], int]) -> Callable[[int, int], int]:
+    """`op` over an integer domain: a result outside the range goes through
+    `fit` (wrap or clamp), one inside it is used as computed."""
+    lo, hi = domain.min_value, domain.max_value
+
+    def fn(a, b):
+        s = op(a, b)
+        return s if lo <= s <= hi else fit(s)
+    return fn
 
 
 def plus_monoid(domain: ValueDomain) -> Monoid:
     """Arithmetic addition; fixed-width integers wrap (two's complement)."""
     if domain.is_integer:
-        fn = lambda a, b, _d=domain: _d.wrap(a + b)
+        fn = _fitted(domain, operator.add, domain.wrap)
         identity: Any = 0
-    elif domain.is_float:
-        fn = lambda a, b, _d=domain: _d.normalize(a + b)
-        identity = 0.0
-    elif domain.is_complex:
-        fn = lambda a, b: a + b
-        identity = complex(0.0, 0.0)
+    elif domain.is_float or domain.is_complex:
+        fn = _rounded(domain, operator.add)
+        identity = 0.0 if domain.is_float else complex(0.0, 0.0)
     else:
         raise UnsupportedDomainError(f"plus is not defined over {domain.kind}")
     return Monoid(BinaryOp("plus", domain, fn), identity)
@@ -127,11 +149,9 @@ def plus_monoid(domain: ValueDomain) -> Monoid:
 def times_op(domain: ValueDomain) -> BinaryOp:
     """Arithmetic multiplication; fixed-width integers wrap."""
     if domain.is_integer:
-        fn = lambda a, b, _d=domain: _d.wrap(a * b)
-    elif domain.is_float:
-        fn = lambda a, b, _d=domain: _d.normalize(a * b)
-    elif domain.is_complex:
-        fn = lambda a, b: a * b
+        fn = _fitted(domain, operator.mul, domain.wrap)
+    elif domain.is_float or domain.is_complex:
+        fn = _rounded(domain, operator.mul)
     else:
         raise UnsupportedDomainError(f"times is not defined over {domain.kind}")
     return BinaryOp("times", domain, fn)
@@ -173,12 +193,12 @@ def tropical_plus_op(domain: ValueDomain, absorbing) -> BinaryOp:
     sums short-circuit so that +inf plus -inf cannot produce a NaN.
     """
     _ordered_numeric(domain)
-    fit = domain.clamp if domain.is_integer else domain.normalize
-
-    def fn(a, b, _z=absorbing, _fit=fit):
-        if a == _z or b == _z:
-            return _z
-        return _fit(a + b)
+    z = absorbing
+    add = lambda a, b: z if a == z or b == z else a + b
+    if domain.is_integer:
+        fn = _fitted(domain, add, domain.clamp)
+    else:
+        fn = _rounded(domain, add)
     return BinaryOp("tropical_plus", domain, fn)
 
 

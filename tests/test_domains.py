@@ -160,3 +160,165 @@ def test_single_normalize_is_idempotent(x):
 @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
 def test_ulp_distance_is_symmetric(a, b):
     assert ulp_distance(a, b, FLOAT64) == ulp_distance(b, a, FLOAT64)
+
+
+# ---------------------------------------------------------------------------
+# The per-kind table against reference definitions written out here
+
+_REF_WIDTHS = {f"{s}-int-{b}": (b, s == "signed")
+               for s in ("signed", "unsigned") for b in (8, 16, 32, 64)}
+_FLOAT_KINDS = ("float-single", "float-double")
+_SINGLE_MAX = (2 - 2**-23) * 2.0**127
+
+
+def _ref_bounds(kind):
+    """(min, max) of an ordered kind, None for complex and opaque."""
+    if kind == "boolean":
+        return False, True
+    if kind in _REF_WIDTHS:
+        bits, signed = _REF_WIDTHS[kind]
+        return (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1) if signed else (0, 2**bits - 1)
+    if kind in _FLOAT_KINDS:
+        return -math.inf, math.inf
+    return None
+
+
+def _ref_round_single(x: float) -> float:
+    """Round to nearest, ties to even, on 24 significant bits, subnormals
+    down to 2**-149, and past the largest finite value to infinity."""
+    if x != x or x in (math.inf, -math.inf) or x == 0:
+        return x
+    _m, e = math.frexp(x)
+    quantum = 2.0 ** max(e - 24, -149)
+    r = abs(round(x / quantum) * quantum)
+    return math.copysign(math.inf if r > _SINGLE_MAX else r, x)
+
+
+def _ref_contains(kind, v) -> bool:
+    if kind == "boolean":
+        return type(v) is bool
+    if kind in _REF_WIDTHS:
+        lo, hi = _ref_bounds(kind)
+        return isinstance(v, int) and type(v) is not bool and lo <= v <= hi
+    if kind == "float-double":
+        return isinstance(v, float)
+    if kind == "float-single":
+        return isinstance(v, float) and (v != v or _ref_round_single(v) == v)
+    if kind == "complex-double":
+        return isinstance(v, complex)
+    return True
+
+
+def _ref_wrap(kind, v: int) -> int:
+    bits, _signed = _REF_WIDTHS[kind]
+    lo, _hi = _ref_bounds(kind)
+    return (v - lo) % 2**bits + lo
+
+
+def _ref_clamp(kind, v):
+    lo, hi = _ref_bounds(kind)
+    return lo if v < lo else hi if v > hi else v
+
+
+def _same(x, y) -> bool:
+    """Equal values of the same type; NaN matches NaN and signed zeros differ."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        return (x != x and y != y) or (x == y and math.copysign(1, x) == math.copysign(1, y))
+    return x == y
+
+
+def _int_edges():
+    out = {0, 1, -1, 2**63, -(2**63), 2**64 - 1, 2**64, -(2**64)}
+    for b in (8, 16, 32, 64):
+        for edge in (2 ** (b - 1), -(2 ** (b - 1)), 2**b - 1, 2**b):
+            out.update((edge - 1, edge, edge + 1))
+    return sorted(out)
+
+
+_EDGES = [
+    *_int_edges(), True, False,
+    0.0, -0.0, 0.1, 0.5, -1.5, 1.0 + 2**-23, 1.0 + 2**-24, 1.0 + 3 * 2**-24,
+    _SINGLE_MAX, -_SINGLE_MAX, math.nextafter(_SINGLE_MAX, math.inf),
+    2.0**128 - 2.0**103, math.nextafter(2.0**128 - 2.0**103, 0.0),
+    2.0**-149, 2.0**-150, 3 * 2.0**-151, 1e-300, 5e-324, 1.7976931348623157e308,
+    float(2**63), float(2**64), math.nan, math.inf, -math.inf,
+    1 + 2j, complex(math.inf, 0), None, "7", (1, 2),
+]
+
+
+def _check_kind_against_reference(d, v):
+    kind = d.kind
+    assert d.contains(v) is _ref_contains(kind, v), (kind, v)
+    bounds = _ref_bounds(kind)
+    if bounds is None:
+        for attr in ("min_value", "max_value"):
+            with pytest.raises(UnsupportedDomainError):
+                getattr(d, attr)
+    else:
+        assert _same(d.min_value, bounds[0]) and _same(d.max_value, bounds[1])
+    if isinstance(v, int):
+        if kind in _REF_WIDTHS:
+            assert _same(d.wrap(v), _ref_wrap(kind, v)), (kind, v)
+        else:
+            with pytest.raises(UnsupportedDomainError):
+                d.wrap(v)
+    if isinstance(v, (int, float)) and bounds is not None:
+        assert _same(d.clamp(v), _ref_clamp(kind, v)), (kind, v)
+    if isinstance(v, float):
+        want = _ref_round_single(v) if kind == "float-single" else v
+        assert _same(d.normalize(v), want), (kind, v)
+    elif kind != "float-single":
+        assert d.normalize(v) is v
+
+
+def test_named_domains_are_the_table_kinds():
+    named = (BOOLEAN, INT8, INT64, UINT8, UINT64, FLOAT32, FLOAT64, COMPLEX128, OPAQUE)
+    assert [d.kind for d in named] == [
+        "boolean", "signed-int-8", "signed-int-64", "unsigned-int-8",
+        "unsigned-int-64", "float-single", "float-double", "complex-double",
+        "opaque-handle"]
+    assert [d.kind for d in ALL_DOMAINS] == ["boolean", *_REF_WIDTHS, *_FLOAT_KINDS,
+                                             "complex-double", "opaque-handle"]
+    for d in ALL_DOMAINS:
+        assert d.is_signed == (d.kind in _REF_WIDTHS and _REF_WIDTHS[d.kind][1])
+        if d.is_integer:
+            assert d.bits == _REF_WIDTHS[d.kind][0]
+        else:
+            with pytest.raises(UnsupportedDomainError):
+                d.bits
+
+
+@pytest.mark.parametrize("d", ALL_DOMAINS, ids=lambda d: d.kind)
+def test_table_matches_reference_at_the_edges(d):
+    for v in _EDGES:
+        _check_kind_against_reference(d, v)
+
+
+@given(st.one_of(st.integers(min_value=-(2**66), max_value=2**66), st.floats(),
+                 st.floats(width=32), st.booleans(), st.complex_numbers()))
+def test_table_matches_reference_on_random_values(v):
+    for d in ALL_DOMAINS:
+        _check_kind_against_reference(d, v)
+
+
+@given(st.floats(width=32, allow_nan=False))
+def test_float_single_members_are_their_own_rounding(x):
+    assert FLOAT32.contains(x) and FLOAT32.normalize(x) == x
+
+
+def test_domains_and_containers_pickle_to_the_canonical_domain():
+    import pickle
+
+    from sgk.containers import ROW, to_compressed, build_from_triples, vector_from_entries
+    from sgk.semirings import plus_monoid
+
+    for d in ALL_DOMAINS:
+        assert pickle.loads(pickle.dumps(d)) is d
+    m = to_compressed(build_from_triples(2, 3, [(0, 2, 5), (1, 0, -1)], plus_monoid(INT8)), ROW)
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back.domain is INT8
+    v = vector_from_entries(3, [(1, 0.5)], FLOAT32)
+    back = pickle.loads(pickle.dumps(v))
+    assert back == v and back.domain is FLOAT32

@@ -1,13 +1,16 @@
-"""The README's quick example, its semiring table and the demo script still
+"""The README's quick example, its semiring table and the scripts still
 match what the code does."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sgk.semirings import CANONICAL_NAMES
 
@@ -43,3 +46,35 @@ def test_readme_semiring_table_matches_the_registry():
     family, domain = header.index("Family"), header.index("Canonical domain")
     documented = tuple(f"{row[family].strip('`')}/{row[domain]}" for row in rows)
     assert documented == CANONICAL_NAMES
+
+
+def _ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_counts_wins_and_applies_the_gain_rule():
+    ab = _ab_pairs()
+    base = [1.50, 1.47, 1.52, 1.49, 1.55, 1.48, 1.51, 1.50, 1.53, 1.46]
+    change = [1.03, 1.05, 1.01, 1.49, 1.06, 1.02, 1.04, 1.00, 1.07, 1.05]
+    c = ab.compare(base, change)
+    assert (c["change_wins"], c["base_wins"], c["ties"]) == (9, 0, 1)
+    assert c["base"] == ab.quartiles(base)
+    assert c["base"][1] == 1.50 and c["change"][1] == 1.045
+    assert c["gain"]
+    # Eight wins of ten is not enough, however large the difference.
+    c = ab.compare(base, change[:8] + [2.0, 2.0])
+    assert (c["change_wins"], c["base_wins"], c["gain"]) == (7, 2, False)
+    # Every pair won, but the medians differ by less than the base's spread.
+    c = ab.compare([1.0, 2.0, 3.0, 4.0], [0.9, 1.9, 2.9, 3.9])
+    assert c["change_wins"] == 4 and not c["gain"]
+
+
+def test_ab_pairs_quartiles():
+    ab = _ab_pairs()
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+    with pytest.raises(ValueError):
+        ab.compare([1.0], [])

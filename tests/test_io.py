@@ -26,6 +26,7 @@ from sgk.errors import (
 )
 from sgk.io_formats import (
     MatrixMarketHeader,
+    edge_list_is_weighted,
     read_edge_list,
     read_matrix_market,
     write_matrix_market,
@@ -332,6 +333,17 @@ def test_edge_list_directed_pair():
     assert (m.nrows, m.ncols) == (3, 3)
     assert m.triples == (Triple(0, 1, 1), Triple(1, 2, 1))
     assert m.domain is INT64
+
+
+@pytest.mark.parametrize("lines, weighted", [
+    (["# u v w\n", "\n", "   \t\n", "  0 1 2.5  \n", "1 2\n"], True),
+    (["0 1\n", "1 2 3.0\n"], False),
+    (["0 1 2 3\n"], False),
+    (["# comments only\n", "\n"], False),
+    ([], False),
+])
+def test_edge_list_is_weighted_reads_the_first_data_line(lines, weighted):
+    assert edge_list_is_weighted(lines) is weighted
 
 
 def test_edge_list_undirected_mirrors():

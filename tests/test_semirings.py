@@ -1,3 +1,4 @@
+import array
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgk.domains import BOOLEAN, FLOAT32, FLOAT64, INT8, INT64, OPAQUE, UINT8
+from sgk.domains import ALL_DOMAINS, BOOLEAN, FLOAT32, FLOAT64, INT8, INT64, OPAQUE, UINT8
 from sgk.errors import (
     DomainMismatchError,
     DuplicateNameError,
@@ -316,3 +317,111 @@ def test_or_and_distributes(a, b, c):
 def test_int64_wrapping_plus_is_associative(a, b, c):
     m = plus_monoid(INT64)
     assert m.op(m.op(a, b), c) == m.op(a, m.op(b, c))
+
+
+# ---------------------------------------------------------------------------
+# Every built-in family over every kind it is defined on, against formulas
+
+
+def _defined_semirings():
+    out = []
+    for family in (name.partition("/")[0] for name in CANONICAL_NAMES):
+        for d in ALL_DOMAINS:
+            try:
+                out.append(registry_get(f"{family}/{d.kind}"))
+            except UnsupportedDomainError:
+                pass
+    return out
+
+
+_DEFINED = _defined_semirings()
+
+
+def _to_single(x: float) -> float:
+    return array.array("f", [x])[0]
+
+
+def _reference_ops(s):
+    """(add, mul) of a built-in semiring written from its definition: integer
+    plus_times wraps, tropical plus saturates with the identity absorbing,
+    float-single rounds every sum and product to 32 bits."""
+    family, d = s.name.partition("/")[0], s.domain
+    if family == "or_and":
+        return (lambda a, b: a or b), (lambda a, b: a and b)
+    lo, hi = (d.min_value, d.max_value) if d.is_integer or d.is_float else (None, None)
+    if d.is_integer:
+        wrap = lambda v: (v - lo) % (hi - lo + 1) + lo
+        sat = lambda v: lo if v < lo else hi if v > hi else v
+    elif d == FLOAT32:
+        wrap = sat = _to_single
+    else:
+        wrap = sat = lambda v: v
+    smaller = lambda a, b: a if a <= b else b
+    larger = lambda a, b: a if a >= b else b
+    if family == "plus_times":
+        return (lambda a, b: wrap(a + b)), (lambda a, b: wrap(a * b))
+    if family == "max_plus":
+        return larger, (lambda a, b: lo if lo in (a, b) else sat(a + b))
+    if family == "min_plus":
+        return smaller, (lambda a, b: hi if hi in (a, b) else sat(a + b))
+    if family == "min_max":
+        return smaller, larger
+    assert family == "min_select2nd"
+    return smaller, (lambda a, b: hi if a == hi else b)
+
+
+def _edge_operands(d) -> list:
+    if d.is_boolean:
+        return [False, True]
+    if d.is_integer:
+        lo, hi = d.min_value, d.max_value
+        half, root = hi // 2, 1 << (d.bits // 2)
+        pool = {lo, lo + 1, 0, 1, 2, hi - 1, hi, half, half + 1, root - 1, root, root + 1}
+        return sorted(v for v in pool | {-1, lo // 2} if d.contains(v))
+    if d.is_float:
+        big = 3.4028234663852886e38 if d == FLOAT32 else 1.7976931348623157e308
+        pool = [-math.inf, math.inf, big, -big, 0.0, -0.0, 1.0, 3.0, -1.5,
+                2.0**-24, 2.0**-149, d.normalize(0.1)]
+        return [v for v in pool if d.contains(v)]
+    return [complex(0.0, 0.0), 1 + 2j, complex(-1.5, 1e308), complex(3.0, -0.1)]
+
+
+def _same(x, y) -> bool:
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, complex):
+        return _same(x.real, y.real) and _same(x.imag, y.imag)
+    if isinstance(x, float):
+        return (x != x and y != y) or (x == y and math.copysign(1, x) == math.copysign(1, y))
+    return x == y
+
+
+def _check_against_reference(s, a, b):
+    add, mul = _reference_ops(s)
+    assert _same(s.add.op(a, b), add(a, b)), (s.name, "add", a, b)
+    assert _same(s.mul(a, b), mul(a, b)), (s.name, "mul", a, b)
+
+
+@pytest.mark.parametrize("s", _DEFINED, ids=lambda s: s.name)
+def test_builtin_ops_match_their_formulas_at_the_bounds(s):
+    pool = _edge_operands(s.domain)
+    for a, b in itertools.product(pool, repeat=2):
+        _check_against_reference(s, a, b)
+
+
+def _members(d):
+    if d.is_boolean:
+        return st.booleans()
+    if d.is_integer:
+        return st.integers(d.min_value, d.max_value)
+    if d.is_float:
+        return st.floats(width=32 if d == FLOAT32 else 64, allow_nan=False)
+    return st.complex_numbers(allow_nan=False)
+
+
+@given(st.data())
+def test_builtin_ops_match_their_formulas_on_random_members(data):
+    s = data.draw(st.sampled_from(_DEFINED))
+    a = data.draw(_members(s.domain))
+    b = data.draw(_members(s.domain))
+    _check_against_reference(s, a, b)
