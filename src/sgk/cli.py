@@ -42,7 +42,6 @@ from .errors import (
     UsageError,
 )
 from .io_formats import (
-    edge_list_is_weighted,
     read_edge_list,
     read_matrix_market,
     serializable_field,
@@ -143,7 +142,7 @@ def _build_parser() -> _Parser:
 
 def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
     """Read a file as Matrix Market (sniffed from the banner) or as a TSV
-    edge list (weighted when the first data line has three columns)."""
+    edge list."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -160,8 +159,7 @@ def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
                 )
             coo, _desc = read_matrix_market(lines)
         else:
-            coo = read_edge_list(lines, weighted=edge_list_is_weighted(lines),
-                                 undirected=undirected)
+            coo = read_edge_list(lines, undirected=undirected)
         return to_compressed(coo)
     except (ParseError, IndexRangeError, DuplicateIndexError, DomainMismatchError) as e:
         raise _DataError(f"{path}: {e}") from e
@@ -244,11 +242,10 @@ def _pagerank(m, ns):
 
 
 def _write_output(m: CompressedMatrix, path: str) -> dict:
-    coo = to_tuples(m)
-    serializable_field(coo)  # refuse before opening, so the path stays as it was
+    serializable_field(m)  # refuse before opening, so the path stays as it was
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            write_matrix_market(coo, fh)
+            write_matrix_market(m, fh)
     except OSError as e:
         raise _DataError(f"{path}: {e.strerror or e}") from e
     return {"output": path, "nrows": m.nrows, "ncols": m.ncols, "nnz": nvals(m)}

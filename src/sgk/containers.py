@@ -316,13 +316,14 @@ def densify_vector(v: SparseVector, fill) -> SparseVector:
 
 
 def vector_as_column(v: SparseVector) -> CompressedMatrix:
-    """View a length-n vector as an n x 1 matrix (for matrix-level folds)."""
+    """View a length-n vector as an n x 1 matrix (for matrix-level folds),
+    stored as its single column so a column fold needs no reorient."""
     return CompressedMatrix(
         nrows=v.length,
         ncols=1,
-        orientation=ROW,
-        offsets=_offsets((i for i, _ in v.entries), v.length),
-        minor_indices=(0,) * len(v.entries),
+        orientation=COL,
+        offsets=(0, len(v.entries)),
+        minor_indices=tuple(i for i, _ in v.entries),
         values=tuple(x for _, x in v.entries),
         domain=v.domain,
     )

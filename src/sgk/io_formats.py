@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
-from .containers import CooMatrix, CompressedMatrix, MatrixDescriptor, Triple, build_from_triples, to_tuples
-from .domains import COMPLEX128, FLOAT64, INT64, ValueDomain
+from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, Triple, _slice,
+                         build_from_triples, reorient, to_compressed)
+from .domains import COMPLEX128, FLOAT64, INT64
 from .errors import IndexRangeError, ParseError, UnserializableDomainError
 from .semirings import plus_monoid
+
+# The most rows or columns either reader accepts.  Compressed storage holds
+# one offset per row or column whether or not the file stores entries there.
+MAX_DIMENSION = 2**24
 
 _FIELDS = ("real", "integer", "complex", "pattern")
 _SYMMETRIES = ("general", "symmetric")
@@ -139,6 +145,10 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
         raise ParseError(size_line, "size line needs 3 integers") from None
     if nrows < 0 or ncols < 0 or nnz < 0:
         raise ParseError(size_line, "size values must be non-negative")
+    if max(nrows, ncols) > MAX_DIMENSION:
+        raise ParseError(
+            size_line, f"size {nrows}x{ncols} exceeds the dimension limit {MAX_DIMENSION}"
+        )
     symmetric = header.symmetry == "symmetric"
     if symmetric and nrows != ncols:
         raise ParseError(size_line, "symmetric matrix must be square")
@@ -192,91 +202,86 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     return coo, MatrixDescriptor(symmetric=symmetric)
 
 
-def _format_value(v, domain: ValueDomain) -> str:
-    if domain.is_complex:
-        return f"{v.real!r} {v.imag!r}"
-    if domain.is_float:
-        return repr(float(v))
-    return str(v)
+def _csr(m) -> CompressedMatrix:
+    """`m` stored by rows: a CooMatrix is compressed, a CSC matrix reoriented."""
+    if isinstance(m, CooMatrix):
+        return to_compressed(m)
+    return reorient(m, ROW)
 
 
-def serializable_field(m: CooMatrix) -> str:
-    """The Matrix Market field `m` is written with.
+def serializable_field(m) -> str:
+    """The Matrix Market field `m` (COO, CSR or CSC) is written with.
 
-    Raises UnserializableDomainError when some value has no form the reader
-    accepts, so callers can refuse a write before opening its destination.
+    Raises UnserializableDomainError, naming the first such entry in
+    row-major order, when some value has no form the reader accepts, so
+    callers can refuse a write before opening its destination.
     """
-    d = m.domain
+    csr = _csr(m)
+    d = csr.domain
     if d.is_opaque:
         raise UnserializableDomainError("opaque-handle values have no text form")
-    if d.is_boolean:
-        for t in m.triples:
-            if not t.val:
-                raise UnserializableDomainError(
-                    "pattern file cannot store a false value "
-                    f"(at row {t.row}, column {t.col})"
-                )
-        return "pattern"
     if d.is_integer:
         return "integer"
-    isfinite = math.isfinite if d.is_float else cmath.isfinite
-    for t in m.triples:
-        if not isfinite(t.val):
+    if d.is_boolean:
+        field, ok = "pattern", bool
+    else:
+        field, ok = ("real", math.isfinite) if d.is_float else ("complex", cmath.isfinite)
+    for p, v in enumerate(csr.values):
+        if not ok(v):
+            what = ("pattern file cannot store a false value" if field == "pattern"
+                    else f"non-finite value {v!r} has no Matrix Market form")
+            row = bisect_right(csr.offsets, p) - 1
             raise UnserializableDomainError(
-                f"non-finite value {t.val!r} has no Matrix Market form "
-                f"(at row {t.row}, column {t.col})"
+                f"{what} (at row {row}, column {csr.minor_indices[p]})"
             )
-    return "real" if d.is_float else "complex"
+    return field
+
+
+# The text of one stored value, with its leading space, per field.
+_FORMATS = {
+    "pattern": lambda v: "",
+    "integer": lambda v: f" {v}",
+    "real": lambda v: f" {float(v)!r}",
+    "complex": lambda v: f" {v.real!r} {v.imag!r}",
+}
 
 
 def write_matrix_market(m, stream: IO[str]) -> None:
-    """Serialize a matrix as Matrix Market coordinate, general symmetry.
+    """Serialize a matrix (COO, CSR or CSC) as Matrix Market coordinate,
+    general symmetry, entries in row-major order.
 
     Floats are written in shortest round-trip-exact decimal form; a
     non-finite float or complex value has no form the reader accepts.
     Boolean matrices serialize as pattern files provided every stored value
     is true; opaque-handle matrices have no text form.
     """
-    if isinstance(m, CompressedMatrix):
-        m = to_tuples(m)
-    d = m.domain
-    field = serializable_field(m)
+    csr = _csr(m)
+    field = serializable_field(csr)
+    fmt = _FORMATS[field]
     stream.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-    stream.write(f"{m.nrows} {m.ncols} {len(m.triples)}\n")
-    if field == "pattern":
-        for t in m.triples:
-            stream.write(f"{t.row + 1} {t.col + 1}\n")
-    else:
-        for t in m.triples:
-            stream.write(f"{t.row + 1} {t.col + 1} {_format_value(t.val, d)}\n")
+    stream.write(f"{csr.nrows} {csr.ncols} {len(csr.values)}\n")
+    for i in range(csr.nrows):
+        stream.writelines(f"{i + 1} {j + 1}{fmt(v)}\n" for j, v in _slice(csr, i))
 
 
-def edge_list_is_weighted(lines: Sequence[str]) -> bool:
-    """Whether a TSV edge list is weighted: its first data line has three columns.
-
-    `lines` is read again by the caller's `read_edge_list`, so it must be a
-    sequence; a file object or generator would lose the line read here.
-    """
-    for _lineno, tokens in _DataLines(lines, "#"):
-        return len(tokens) == 3
-    return False
-
-
-def read_edge_list(stream: Iterable[str], weighted: bool = False,
-                   undirected: bool = False) -> CooMatrix:
+def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix:
     """Parse a TSV edge list: one `u v` or `u v w` line per edge, 0-based.
 
-    Lines starting with '#' and blank lines are skipped.  The matrix is
-    square with dimension 1 + the largest index seen.  The undirected flag
-    mirrors every edge between distinct endpoints; self-loops are stored
-    once either way.  Unweighted edges get value 1.
+    Lines starting with '#' and blank lines are skipped.  The first data
+    line sets the width of every line: with three columns every edge is a
+    float-double weight, otherwise lines have two columns and every edge is
+    the signed-int-64 value 1, as in an empty list.  The matrix is square
+    with dimension 1 + the largest index seen, at most MAX_DIMENSION.  The
+    undirected flag mirrors every edge between distinct endpoints;
+    self-loops are stored once either way.
     """
-    domain = FLOAT64 if weighted else INT64
-    want = 3 if weighted else 2
+    want = 0
     triples: list[Triple] = []
     top = -1
     data = _DataLines(stream, "#")
     for lineno, tokens in data:
+        if not want:
+            want = 3 if len(tokens) == 3 else 2
         if len(tokens) != want:
             raise ParseError(
                 lineno, f"expected {want} columns (got {len(tokens)})"
@@ -290,10 +295,14 @@ def read_edge_list(stream: Iterable[str], weighted: bool = False,
             raise IndexRangeError(
                 f"line {lineno}: negative vertex index {min(u, v)}"
             )
-        w = _finite_float(tokens[2], lineno, "weight") if weighted else 1
+        w = _finite_float(tokens[2], lineno, "weight") if want == 3 else 1
         top = max(top, u, v)
+        if top >= MAX_DIMENSION:
+            raise ParseError(
+                lineno, f"vertex index {top} needs a dimension above the limit {MAX_DIMENSION}"
+            )
         triples.append(Triple(u, v, w))
         if undirected and u != v:
             triples.append(Triple(v, u, w))
     n = top + 1
-    return build_from_triples(n, n, triples, plus_monoid(domain))
+    return build_from_triples(n, n, triples, plus_monoid(FLOAT64 if want == 3 else INT64))

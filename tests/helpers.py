@@ -7,6 +7,8 @@ import math
 import random
 from typing import Any, Callable, Sequence
 
+from hypothesis import strategies as st
+
 from sgk.containers import (
     CompressedMatrix,
     CooMatrix,
@@ -15,8 +17,27 @@ from sgk.containers import (
     to_compressed,
     vector_entries,
 )
-from sgk.domains import ValueDomain
+from sgk.domains import INT64, ValueDomain
 from sgk.oracle import DenseMatrix, to_dense, vector_to_dense
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies
+
+
+@st.composite
+def coo_matrices(draw, square=False, domain=INT64, values=st.integers(-50, 50)):
+    """Up to 8 x 8 matrices of at most 20 entries drawn from `values`."""
+    nrows = draw(st.integers(0, 8))
+    ncols = nrows if square else draw(st.integers(0, 8))
+    cells = draw(
+        st.sets(
+            st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0))),
+            max_size=min(nrows * ncols, 20),
+        )
+    ) if nrows and ncols else set()
+    triples = tuple(Triple(r, c, draw(values)) for r, c in sorted(cells))
+    return CooMatrix(nrows, ncols, triples, domain)
+
 
 # ---------------------------------------------------------------------------
 # Value samplers, one per canonical semiring

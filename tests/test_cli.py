@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sgk import io_formats
 from sgk.cli import run
 from sgk.io_formats import read_matrix_market
 
@@ -448,3 +452,58 @@ def test_mxv_rejects_non_column_vector(capsys, tmp_path, triangle_mm_file):
                 triangle_mm_file])
     assert code == 3
     assert "single-column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("big.tsv", "0 1\n1 4\n", "line 2: vertex index 4 needs a dimension above the limit 3"),
+    ("big.mtx", "%%MatrixMarket matrix coordinate pattern general\n4 1 0\n",
+     "line 2: size 4x1 exceeds the dimension limit 3"),
+])
+def test_dimension_above_the_limit_is_data_error(capsys, monkeypatch, tmp_path, name, text, where):
+    monkeypatch.setattr(io_formats, "MAX_DIMENSION", 3)
+    p = tmp_path / name
+    p.write_text(text)
+    assert run(["info", str(p)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {p}: {where}\n")
+
+
+# Lines of up to four tokens joined by spaces or tabs: small indices only,
+# or mixed with banner words, values the readers refuse and comment
+# markers; after no banner, a partial one or a complete one.
+_FUZZ_NUMBERS = st.sampled_from(("0", "1", "2", "3"))
+_FUZZ_WORDS = st.sampled_from((
+    "%%MatrixMarket", "matrix", "coordinate", "real", "integer", "complex", "pattern",
+    "general", "symmetric", "-1", "1.5", "inf", "nan", "x", "#", "%"))
+_FUZZ_BANNERS = ("", "%%MatrixMarket matrix coordinate ", *(
+    f"%%MatrixMarket matrix coordinate {field} {symmetry}\n"
+    for field in ("real", "integer", "complex", "pattern")
+    for symmetry in ("general", "symmetric")))
+_FUZZ_LINES = st.tuples(
+    st.lists(_FUZZ_NUMBERS, max_size=4) | st.lists(_FUZZ_NUMBERS | _FUZZ_WORDS, max_size=4),
+    st.sampled_from((" ", "\t")),
+).map(lambda t: t[1].join(t[0]))
+_FUZZ_TEXTS = st.tuples(st.sampled_from(_FUZZ_BANNERS), st.lists(_FUZZ_LINES, max_size=6)).map(
+    lambda t: t[0] + "".join(line + "\n" for line in t[1]))
+_FUZZ_COMMANDS = (["info"], ["cc"], ["degrees", "--dir", "in"], ["info", "--undirected"],
+                  ["convert", "-o", "{out}"], ["mxv", "--semiring", "plus_times", "{file}"])
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_FUZZ_TEXTS, command=st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_inputs_end_in_an_exit_code_and_one_error_line(tmp_path, text, command):
+    """Short texts mixing both formats' words through the CLI: no run raises,
+    every run exits 0-3, and a failed run prints exactly one error line."""
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    argv = [command[0], str(path)] + [
+        a.format(out=tmp_path / "out.mtx", file=path) for a in command[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1

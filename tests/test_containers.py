@@ -2,9 +2,8 @@ import random
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
-from helpers import int_sampler, random_csr
+from helpers import coo_matrices, int_sampler, random_csr
 from sgk.containers import (
     COL,
     ROW,
@@ -256,6 +255,7 @@ def test_vector_as_column_shape():
     v = SparseVector(3, ((0, 4), (2, 6)), INT64)
     col = vector_as_column(v)
     assert dims(col) == (3, 1)
+    assert (col.orientation, col.offsets, col.minor_indices) == (COL, (0, 2), (0, 2))
     assert entries_of(col) == (Triple(0, 0, 4), Triple(2, 0, 6))
 
 
@@ -267,22 +267,6 @@ def test_entries_of_compressed_sorted_row_major():
 
 # ---------------------------------------------------------------------------
 # Properties
-
-
-@st.composite
-def coo_matrices(draw, square=False):
-    nrows = draw(st.integers(0, 8))
-    ncols = nrows if square else draw(st.integers(0, 8))
-    cells = draw(
-        st.sets(
-            st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0))),
-            max_size=min(nrows * ncols, 20),
-        )
-    ) if nrows and ncols else set()
-    triples = tuple(
-        Triple(r, c, draw(st.integers(-50, 50))) for r, c in sorted(cells)
-    )
-    return CooMatrix(nrows, ncols, triples, INT64)
 
 
 @given(coo_matrices())

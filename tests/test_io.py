@@ -1,10 +1,17 @@
+import cmath
 import io
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import sampler_for
+from helpers import coo_matrices, sampler_for
+from sgk import io_formats
 from sgk.containers import (
+    COL,
+    ROW,
     CooMatrix,
     Triple,
     entries_of,
@@ -26,9 +33,9 @@ from sgk.errors import (
 )
 from sgk.io_formats import (
     MatrixMarketHeader,
-    edge_list_is_weighted,
     read_edge_list,
     read_matrix_market,
+    serializable_field,
     write_matrix_market,
 )
 
@@ -255,11 +262,20 @@ def test_write_read_identity_complex():
     assert back.triples == m.triples
 
 
-def test_write_accepts_compressed_input():
-    m = to_compressed(CooMatrix(2, 2, (Triple(0, 1, 5),), INT64))
-    back, _, text = roundtrip(m)
-    assert back.triples == to_tuples(m).triples
-    assert text.splitlines()[0].endswith("integer general")
+# The forms the writer accepts, each built from a CooMatrix.
+FORMS = [
+    pytest.param(lambda coo: coo, id="coo"),
+    pytest.param(lambda coo: to_compressed(coo, ROW), id="csr"),
+    pytest.param(lambda coo: to_compressed(coo, COL), id="csc"),
+]
+
+
+@pytest.mark.parametrize("form", FORMS[1:])
+def test_write_accepts_compressed_input(form):
+    coo = CooMatrix(2, 2, (Triple(0, 1, 5), Triple(1, 0, 6), Triple(1, 1, 7)), INT64)
+    back, _, text = roundtrip(form(coo))
+    assert back.triples == coo.triples
+    assert text == "%%MatrixMarket matrix coordinate integer general\n2 2 3\n1 2 5\n2 1 6\n2 2 7\n"
 
 
 def test_write_boolean_as_pattern():
@@ -270,19 +286,25 @@ def test_write_boolean_as_pattern():
     assert back.triples == (Triple(0, 1, 1),)
 
 
-def test_write_boolean_false_value_rejected():
-    m = CooMatrix(2, 2, (Triple(0, 1, False),), BOOLEAN)
-    with pytest.raises(UnserializableDomainError):
+@pytest.mark.parametrize("form", FORMS)
+def test_write_boolean_false_value_rejected(form):
+    """The first false value in row-major order is named, whatever the
+    storage order: (0, 1) comes before (1, 0) although CSC stores it after."""
+    m = form(CooMatrix(2, 2, (Triple(0, 0, True), Triple(0, 1, False),
+                              Triple(1, 0, False)), BOOLEAN))
+    with pytest.raises(UnserializableDomainError,
+                       match=r"^pattern file cannot store a false value \(at row 0, column 1\)$"):
         write_matrix_market(m, io.StringIO())
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("domain,value", [
     (FLOAT64, float("inf")), (FLOAT64, float("nan")),
     (COMPLEX128, complex(1.0, float("-inf"))), (COMPLEX128, complex(float("nan"), 0.0)),
 ])
-def test_write_non_finite_value_rejected(domain, value):
-    m = CooMatrix(2, 2, (Triple(0, 0, 1.0 if domain is FLOAT64 else 1j),
-                         Triple(1, 0, value)), domain)
+def test_write_non_finite_value_rejected(domain, value, form):
+    m = form(CooMatrix(2, 2, (Triple(0, 0, 1.0 if domain is FLOAT64 else 1j),
+                              Triple(1, 0, value)), domain))
     buf = io.StringIO()
     with pytest.raises(UnserializableDomainError, match=r"non-finite value .* row 1, column 0"):
         write_matrix_market(m, buf)
@@ -320,6 +342,74 @@ def test_write_read_random_float_matrices_bit_exact():
         assert back.triples == m.triples
 
 
+def _reference_text(nrows, ncols, triples, d) -> str:
+    """Matrix Market text as the writer rendered it from (row, col)-sorted
+    triples, choosing the value format per entry; a refusal renders as
+    `error: <message>`."""
+    if d.is_boolean:
+        ok, field = bool, "pattern"
+    elif d.is_integer:
+        ok, field = None, "integer"
+    else:
+        ok, field = (math.isfinite, "real") if d.is_float else (cmath.isfinite, "complex")
+    for t in triples if ok else ():
+        if not ok(t.val):
+            what = ("pattern file cannot store a false value" if d.is_boolean
+                    else f"non-finite value {t.val!r} has no Matrix Market form")
+            return f"error: {what} (at row {t.row}, column {t.col})"
+    lines = [f"%%MatrixMarket matrix coordinate {field} general", f"{nrows} {ncols} {len(triples)}"]
+    for t in triples:
+        if d.is_boolean:
+            lines.append(f"{t.row + 1} {t.col + 1}")
+        elif d.is_complex:
+            lines.append(f"{t.row + 1} {t.col + 1} {t.val.real!r} {t.val.imag!r}")
+        elif d.is_float:
+            lines.append(f"{t.row + 1} {t.col + 1} {repr(float(t.val))}")
+        else:
+            lines.append(f"{t.row + 1} {t.col + 1} {t.val}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _written(m) -> str:
+    buf = io.StringIO()
+    try:
+        field = serializable_field(m)
+        write_matrix_market(m, buf)
+    except UnserializableDomainError as e:
+        assert buf.getvalue() == ""
+        return f"error: {e}"
+    assert buf.getvalue().startswith(f"%%MatrixMarket matrix coordinate {field} ")
+    return buf.getvalue()
+
+
+# Finite values per domain, and the values the writer refuses.
+_VALUES = {
+    INT64: (st.integers(-2**63, 2**63 - 1), []),
+    FLOAT64: (st.floats(allow_nan=False, allow_infinity=False),
+              [math.inf, -math.inf, math.nan]),
+    COMPLEX128: (st.complex_numbers(allow_nan=False, allow_infinity=False),
+                 [complex(math.inf, 0.0), complex(0.0, math.nan)]),
+    BOOLEAN: (st.just(True), [False]),
+}
+
+
+@pytest.mark.parametrize("domain", list(_VALUES), ids=lambda d: d.kind)
+@given(data=st.data())
+def test_written_text_matches_the_triple_reference_in_every_form(domain, data):
+    """COO, CSR and CSC forms write the text the per-triple reference renders,
+    refusals included; up to two entries get a value the writer refuses."""
+    values, refused = _VALUES[domain]
+    coo = data.draw(coo_matrices(domain=domain, values=values))
+    if refused and coo.triples:
+        bad = data.draw(st.sets(st.integers(0, len(coo.triples) - 1), max_size=2))
+        coo = CooMatrix(coo.nrows, coo.ncols, tuple(
+            Triple(t.row, t.col, data.draw(st.sampled_from(refused))) if k in bad else t
+            for k, t in enumerate(coo.triples)), domain)
+    for m in (coo, to_compressed(coo, ROW), to_compressed(coo, COL)):
+        triples = m.triples if m is coo else to_tuples(m).triples
+        assert _written(m) == _reference_text(coo.nrows, coo.ncols, triples, domain)
+
+
 # ---------------------------------------------------------------------------
 # Edge lists
 
@@ -335,15 +425,14 @@ def test_edge_list_directed_pair():
     assert m.domain is INT64
 
 
-@pytest.mark.parametrize("lines, weighted", [
-    (["# u v w\n", "\n", "   \t\n", "  0 1 2.5  \n", "1 2\n"], True),
-    (["0 1\n", "1 2 3.0\n"], False),
-    (["0 1 2 3\n"], False),
-    (["# comments only\n", "\n"], False),
-    ([], False),
+@pytest.mark.parametrize("text, domain", [
+    ("# u v w\n\n   \t\n  0 1 2.5  \n1 2 3\n", FLOAT64),
+    ("0 1\n1 2\n", INT64),
+    ("# comments only\n\n", INT64),
+    ("", INT64),
 ])
-def test_edge_list_is_weighted_reads_the_first_data_line(lines, weighted):
-    assert edge_list_is_weighted(lines) is weighted
+def test_edge_list_first_data_line_sets_the_domain(text, domain):
+    assert el(text).domain is domain
 
 
 def test_edge_list_undirected_mirrors():
@@ -357,7 +446,7 @@ def test_edge_list_self_loop_not_mirrored():
 
 
 def test_edge_list_weighted():
-    m = el("0 1 2.5\n1 0 0.5\n", weighted=True)
+    m = el("0 1 2.5\n1 0 0.5\n")
     assert m.domain is FLOAT64
     assert m.triples == (Triple(0, 1, 2.5), Triple(1, 0, 0.5))
 
@@ -372,11 +461,17 @@ def test_edge_list_duplicate_edges_accumulate():
     assert m.triples == (Triple(0, 1, 2),)
 
 
-def test_edge_list_column_count_errors():
-    with pytest.raises(ParseError, match="expected 2 columns"):
-        el("0 1 5\n")
-    with pytest.raises(ParseError, match="expected 3 columns"):
-        el("0 1\n", weighted=True)
+@pytest.mark.parametrize("text, message", [
+    ("0 1 5\n0 1\n", "line 2: expected 3 columns (got 2)"),
+    ("0 1\n0 1 5\n", "line 2: expected 2 columns (got 3)"),
+    ("# w\n0 1 2 3\n", "line 2: expected 2 columns (got 4)"),
+    ("0\n", "line 1: expected 2 columns (got 1)"),
+])
+def test_edge_list_column_count_errors(text, message):
+    """The first data line sets the width; three columns means weighted."""
+    with pytest.raises(ParseError) as e:
+        el(text)
+    assert str(e.value) == message
 
 
 def test_edge_list_bad_tokens():
@@ -385,11 +480,11 @@ def test_edge_list_bad_tokens():
     with pytest.raises(IndexRangeError, match="line 1: negative vertex index"):
         el("0 -2\n")
     with pytest.raises(ParseError, match="invalid weight"):
-        el("0 1 x\n", weighted=True)
+        el("0 1 x\n")
     with pytest.raises(ParseError, match="non-finite weight"):
-        el("0 1 inf\n", weighted=True)
+        el("0 1 inf\n")
     with pytest.raises(ParseError, match="non-finite weight"):
-        el("0 1 nan\n", weighted=True)
+        el("0 1 nan\n")
 
 
 _BANNER = "%%MatrixMarket matrix coordinate real general\n"
@@ -405,8 +500,8 @@ _BANNER = "%%MatrixMarket matrix coordinate real general\n"
     (mm, _BANNER + "2 2 1\n1 1 x\n", "line 3: invalid real value 'x'"),
     (mm, _BANNER + "2 2 1\n1 1 -inf\n", "line 3: non-finite value '-inf'"),
     (el, "# c\n\n0\t x\n", "line 3: invalid vertex index in '0\\t x'"),
-    (lambda t: el(t, weighted=True), "\n0 1 y\n", "line 2: invalid weight 'y'"),
-    (lambda t: el(t, weighted=True), "0 1 1\n0 1 NaN\n", "line 2: non-finite weight 'NaN'"),
+    (el, "\n0 1 y\n", "line 2: invalid weight 'y'"),
+    (el, "0 1 1\n0 1 NaN\n", "line 2: non-finite weight 'NaN'"),
 ])
 def test_reader_errors_name_the_line_and_quote_it(read, text, message):
     """End-of-input errors name the last line read, blank or comment lines
@@ -424,3 +519,29 @@ def test_edge_list_empty_stream_is_empty_matrix():
 def test_edge_list_dimension_tracks_largest_index():
     m = el("4 0\n")
     assert (m.nrows, m.ncols) == (5, 5)
+
+
+# ---------------------------------------------------------------------------
+# Dimension limit
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (mm, _BANNER + "5 4 0\n", "line 2: size 5x4 exceeds the dimension limit 4"),
+    (mm, _BANNER + "% c\n1 5 0\n", "line 3: size 1x5 exceeds the dimension limit 4"),
+    (el, "0 1\n# c\n4 0\n", "line 3: vertex index 4 needs a dimension above the limit 4"),
+    (el, "0 1 1.5\n2 9 1.5\n", "line 2: vertex index 9 needs a dimension above the limit 4"),
+])
+def test_readers_refuse_dimensions_above_the_limit(monkeypatch, read, text, message):
+    monkeypatch.setattr(io_formats, "MAX_DIMENSION", 4)
+    with pytest.raises(ParseError) as e:
+        read(text)
+    assert str(e.value) == message
+
+
+def test_readers_accept_dimensions_at_the_limit(monkeypatch):
+    monkeypatch.setattr(io_formats, "MAX_DIMENSION", 4)
+    m, _ = mm(_BANNER + "4 4 1\n4 4 1.0\n")
+    assert (m.nrows, m.ncols) == (4, 4)
+    assert (el("3 0\n").nrows, el("0 3\n", undirected=True).ncols) == (4, 4)
+    with pytest.raises(IndexRangeError, match="line 1: negative vertex index -1"):
+        el("9 -1\n")
