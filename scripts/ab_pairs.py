@@ -13,10 +13,14 @@ is even and CHANGE first when it is odd.
 
 Every run is printed as it finishes.  Then, for each end-to-end metric
 (all lower-is-better), each side's median and quartiles, the pairs each side
-won (a tie counts for neither) and whether CHANGE shows a gain: it won at
+won (a tie counts for neither), whether CHANGE shows a gain (it won at
 least nine tenths of the pairs and its median is below BASE's by more than
-BASE's interquartile range.  Exits 1 when any run fails or reports an
-incorrect output.
+BASE's interquartile range) and the no-regression verdict against the
+metric's `bound` in BENCHMARK.json: `regressed` when CHANGE's median exceeds
+BASE's median times (1 + bound), `unresolved` when BASE's interquartile
+range is wider than bound times its median and some CHANGE run does not
+beat every BASE run, `ok` otherwise.  Exits 1 when any run fails or reports
+an incorrect output.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-METRICS = ("setup_s", "pass_s", "peak_rss_mb")
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -60,6 +63,17 @@ def compare(base: list[float], change: list[float]) -> dict:
     }
 
 
+def verdict(base: list[float], change: list[float], bound: float) -> str:
+    """The no-regression verdict on a lower-is-better metric with relative
+    `bound`: "regressed", "unresolved" or "ok" (see the module docstring)."""
+    bq1, bmed, bq3 = quartiles(base)
+    if quartiles(change)[1] > bmed * (1 + bound):
+        return "regressed"
+    if bq3 - bq1 > bound * bmed and max(change) >= min(base):
+        return "unresolved"
+    return "ok"
+
+
 def extract(rev: str, dest: str) -> None:
     """Write the tree of `rev` into `dest` (git archive piped into tar)."""
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
@@ -69,10 +83,12 @@ def extract(rev: str, dest: str) -> None:
         raise SystemExit(f"error: cannot extract revision {rev!r}")
 
 
-def run_seconds(tree: str) -> float:
-    """The run length the benchmark in `tree` declares."""
+def declared(tree: str) -> tuple[float, dict[str, float]]:
+    """The run length the benchmark in `tree` declares, and the bound of
+    each end-to-end metric by name."""
     with open(os.path.join(tree, "BENCHMARK.json")) as f:
-        return json.load(f)["run_seconds"]
+        spec = json.load(f)
+    return spec["run_seconds"], {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -105,15 +121,15 @@ def main(argv=None) -> int:
             trees[side] = os.path.join(tmp, side)
             os.mkdir(trees[side])
             extract(getattr(args, side), trees[side])
-        seconds = run_seconds(trees["base"])
-        if run_seconds(trees["change"]) != seconds:
-            raise SystemExit("error: the two revisions declare different run_seconds")
+        seconds, bounds = declared(trees["base"])
+        if declared(trees["change"]) != (seconds, bounds):
+            raise SystemExit("error: the two revisions declare different run_seconds or bounds")
         for k in range(args.pairs):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for side in order:
                 result = run_once(trees[side], args.workload, args.seed, seconds)
                 ok = ok and result["correct"] and result["failed"] == 0
-                values = {m: result["metrics"][m]["value"] for m in METRICS}
+                values = {m: result["metrics"][m]["value"] for m in bounds}
                 for m, v in values.items():
                     runs[side].setdefault(m, []).append(v)
                 print(f"pair {k} {side}: correct {result['correct']}, failed "
@@ -122,12 +138,13 @@ def main(argv=None) -> int:
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
           f"base {args.base} vs change {args.change}")
-    for m in METRICS:
+    for m, bound in bounds.items():
         c = compare(runs["base"][m], runs["change"][m])
         print(f"{m}: base {c['base'][1]:.4f} [{c['base'][0]:.4f}, {c['base'][2]:.4f}]  "
               f"change {c['change'][1]:.4f} [{c['change'][0]:.4f}, {c['change'][2]:.4f}]  "
               f"change wins {c['change_wins']}, base wins {c['base_wins']}, ties {c['ties']}  "
-              f"gain {'yes' if c['gain'] else 'no'}")
+              f"gain {'yes' if c['gain'] else 'no'}  "
+              f"{verdict(runs['base'][m], runs['change'][m], bound)} (bound {bound:g})")
     print(json.dumps(runs))
     return 0 if ok else 1
 

@@ -44,7 +44,6 @@ from .errors import (
 from .io_formats import (
     read_edge_list,
     read_matrix_market,
-    serializable_field,
     write_matrix_market,
 )
 from .kernels import mxm, mxv
@@ -241,11 +240,36 @@ def _pagerank(m, ns):
             "residual": res.residual}
 
 
+class _OutputFile:
+    """A text file that opens its path at the first write, so a writer that
+    refuses before writing anything leaves the path as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fh = None
+
+    def _open(self):
+        self.fh = open(self.path, "w", encoding="utf-8")
+        return self.fh
+
+    def write(self, text: str) -> None:
+        (self.fh or self._open()).write(text)
+
+    def writelines(self, lines) -> None:
+        (self.fh or self._open()).writelines(lines)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.fh is not None:
+            self.fh.close()
+
+
 def _write_output(m: CompressedMatrix, path: str) -> dict:
-    serializable_field(m)  # refuse before opening, so the path stays as it was
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_matrix_market(m, fh)
+        with _OutputFile(path) as out:
+            write_matrix_market(m, out)  # checks every value before its first write
     except OSError as e:
         raise _DataError(f"{path}: {e.strerror or e}") from e
     return {"output": path, "nrows": m.nrows, "ncols": m.ncols, "nnz": nvals(m)}

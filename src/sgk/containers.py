@@ -10,7 +10,8 @@ everywhere inside the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, compress, islice, repeat
+from operator import add, and_, eq, itemgetter, lt, mul, not_
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .domains import BOOLEAN, ValueDomain
@@ -143,26 +144,58 @@ def build_from_triples(nrows: int, ncols: int,
     The monoid's domain becomes the matrix domain and every value is
     checked against it.
     """
-    domain = dup.domain
-    contains = domain.contains
-    seen: dict[tuple[int, int], Any] = {}
-    for pos, t in enumerate(triples):
-        r, c, v = t
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[Any] = []
+    for pos, (r, c, v) in enumerate(triples):
         if not isinstance(r, int) or not isinstance(c, int) \
                 or not (0 <= r < nrows and 0 <= c < ncols):
+            _check_values(vals, dup.domain)  # a bad value earlier in the input comes first
             raise IndexRangeError(
                 f"triple {pos}: position ({r!r}, {c!r}) out of range for "
                 f"{nrows}x{ncols} matrix"
             )
-        if not contains(v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+    return _assemble(nrows, ncols, rows, cols, vals, dup)
+
+
+def _check_values(vals: list, domain: ValueDomain) -> None:
+    """Raise for the first value outside `domain`."""
+    if not all(map(domain.contains, vals)):
+        for v in vals:
             domain.check_value(v)
-        key = (r, c)
-        if key in seen:
-            seen[key] = dup.op.eval(seen[key], v)
-        else:
-            seen[key] = v
-    items = tuple(Triple(r, c, seen[(r, c)]) for r, c in sorted(seen))
-    return CooMatrix(nrows, ncols, items, domain)
+
+
+def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: list,
+              dup: Monoid) -> CooMatrix:
+    """The COO matrix of parallel entry lists whose positions are in range.
+
+    Every value is checked against dup's domain.  Entries already in strictly
+    increasing (row, col) order are taken as they are; others are put in
+    order by a stable sort on row * ncols + col, and each run of one
+    position folds with dup.op in input order.  Each Triple is built once.
+    """
+    _check_values(vals, dup.domain)
+    keys = list(map(add, map(mul, rows, repeat(ncols)), cols))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
+        rows, cols, vals = (list(map(seq.__getitem__, order)) for seq in (rows, cols, vals))
+        del order
+        # same[k]: entry k + 1 repeats the position of entry k.
+        same = list(map(and_, map(eq, rows, islice(rows, 1, None)),
+                        map(eq, cols, islice(cols, 1, None))))
+        if any(same):
+            op = dup.op.eval
+            for k in compress(range(1, len(vals)), same):
+                vals[k] = op(vals[k - 1], vals[k])  # the run's last entry holds its fold
+            last = list(map(not_, same))
+            last.append(True)
+            rows, cols, vals = (list(compress(seq, last)) for seq in (rows, cols, vals))
+    triples = tuple(map(tuple.__new__, repeat(Triple), zip(rows, cols, vals)))
+    return CooMatrix(nrows, ncols, triples, dup.domain)
 
 
 def vector_from_entries(length: int,
@@ -205,9 +238,9 @@ def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:
 
 def to_compressed(m: CooMatrix, orientation: str = ROW) -> CompressedMatrix:
     """CSR straight from the (row, col)-sorted triples, then `reorient`."""
-    offsets = _offsets((t.row for t in m.triples), m.nrows)
-    csr = CompressedMatrix(m.nrows, m.ncols, ROW, offsets, tuple(t.col for t in m.triples),
-                           tuple(t.val for t in m.triples), m.domain)
+    offsets = _offsets(map(itemgetter(0), m.triples), m.nrows)
+    csr = CompressedMatrix(m.nrows, m.ncols, ROW, offsets, tuple(map(itemgetter(1), m.triples)),
+                           tuple(map(itemgetter(2), m.triples)), m.domain)
     return reorient(csr, orientation)
 
 

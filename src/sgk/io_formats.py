@@ -15,8 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, Triple, _slice,
-                         build_from_triples, reorient, to_compressed)
+from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble, _slice,
+                         reorient, to_compressed)
 from .domains import COMPLEX128, FLOAT64, INT64
 from .errors import IndexRangeError, ParseError, UnserializableDomainError
 from .semirings import plus_monoid
@@ -133,8 +133,8 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     domain = _FIELD_DOMAIN[header.field]
 
     data = _DataLines(lines, "%", lineno=1)
-    rows = iter(data)
-    size_line, size = next(rows, (None, None))
+    entries = iter(data)
+    size_line, size = next(entries, (None, None))
     if size is None:
         raise ParseError(data.lineno, "missing size line")
     if len(size) != 3:
@@ -153,28 +153,44 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     if symmetric and nrows != ncols:
         raise ParseError(size_line, "symmetric matrix must be square")
 
-    want = 2 if header.field == "pattern" else (4 if header.field == "complex" else 3)
-    triples: list[Triple] = []
+    field = header.field
+    want = 2 if field == "pattern" else (4 if field == "complex" else 3)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list = []
     seen = 0
-    for lineno, tokens in rows:
+    # Each token is parsed inline; the helpers run only on a failed test,
+    # to raise their error.
+    for lineno, tokens in entries:
         if seen == nnz:
             raise ParseError(lineno, f"more than the declared {nnz} entries")
         if len(tokens) != want:
             raise ParseError(
                 lineno, f"entry needs {want} tokens for field "
-                f"{header.field!r} (got {len(tokens)})"
+                f"{field!r} (got {len(tokens)})"
             )
-        r = _parse_index(tokens[0], nrows, "row", lineno)
-        c = _parse_index(tokens[1], ncols, "column", lineno)
-        if header.field == "pattern":
+        try:
+            r = int(tokens[0]) - 1
+            c = int(tokens[1]) - 1
+        except ValueError:
+            r = c = -1
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            r = _parse_index(tokens[0], nrows, "row", lineno)
+            c = _parse_index(tokens[1], ncols, "column", lineno)
+        if field == "real":
+            try:
+                v = float(tokens[2])
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                v = _finite_float(tokens[2], lineno, "real value")
+        elif field == "pattern":
             v = 1
-        elif header.field == "integer":
+        elif field == "integer":
             try:
                 v = int(tokens[2])
             except ValueError:
                 raise ParseError(lineno, f"invalid integer value {tokens[2]!r}") from None
-        elif header.field == "real":
-            v = _finite_float(tokens[2], lineno, "real value")
         else:
             try:
                 v = complex(float(tokens[2]), float(tokens[3]))
@@ -184,21 +200,22 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
                 ) from None
             if not cmath.isfinite(v):
                 raise ParseError(lineno, f"non-finite value {tokens[2]!r} {tokens[3]!r}")
-        if symmetric:
-            if r < c:
-                raise ParseError(
-                    lineno, "symmetric file stores the lower triangle only "
-                    f"(entry at row {r + 1} < column {c + 1})"
-                )
-            triples.append(Triple(r, c, v))
-            if r != c:
-                triples.append(Triple(c, r, v))
-        else:
-            triples.append(Triple(r, c, v))
+        if symmetric and r < c:
+            raise ParseError(
+                lineno, "symmetric file stores the lower triangle only "
+                f"(entry at row {r + 1} < column {c + 1})"
+            )
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+        if symmetric and r != c:
+            rows.append(c)
+            cols.append(r)
+            vals.append(v)
         seen += 1
     if seen != nnz:
         raise ParseError(data.lineno, f"declared {nnz} entries but found {seen}")
-    coo = build_from_triples(nrows, ncols, triples, plus_monoid(domain))
+    coo = _assemble(nrows, ncols, rows, cols, vals, plus_monoid(domain))
     return coo, MatrixDescriptor(symmetric=symmetric)
 
 
@@ -253,7 +270,8 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     Floats are written in shortest round-trip-exact decimal form; a
     non-finite float or complex value has no form the reader accepts.
     Boolean matrices serialize as pattern files provided every stored value
-    is true; opaque-handle matrices have no text form.
+    is true; opaque-handle matrices have no text form.  Every value is
+    checked before the first write, so a refused write writes nothing.
     """
     csr = _csr(m)
     field = serializable_field(csr)
@@ -276,7 +294,9 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
     self-loops are stored once either way.
     """
     want = 0
-    triples: list[Triple] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list = []
     top = -1
     data = _DataLines(stream, "#")
     for lineno, tokens in data:
@@ -295,14 +315,27 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
             raise IndexRangeError(
                 f"line {lineno}: negative vertex index {min(u, v)}"
             )
-        w = _finite_float(tokens[2], lineno, "weight") if want == 3 else 1
-        top = max(top, u, v)
-        if top >= MAX_DIMENSION:
-            raise ParseError(
-                lineno, f"vertex index {top} needs a dimension above the limit {MAX_DIMENSION}"
-            )
-        triples.append(Triple(u, v, w))
+        if want == 3:
+            try:
+                w = float(tokens[2])
+            except ValueError:
+                w = math.nan
+            if not math.isfinite(w):
+                w = _finite_float(tokens[2], lineno, "weight")
+        else:
+            w = 1
+        if u > top or v > top:
+            top = max(u, v)
+            if top >= MAX_DIMENSION:
+                raise ParseError(
+                    lineno, f"vertex index {top} needs a dimension above the limit {MAX_DIMENSION}"
+                )
+        rows.append(u)
+        cols.append(v)
+        vals.append(w)
         if undirected and u != v:
-            triples.append(Triple(v, u, w))
+            rows.append(v)
+            cols.append(u)
+            vals.append(w)
     n = top + 1
-    return build_from_triples(n, n, triples, plus_monoid(FLOAT64 if want == 3 else INT64))
+    return _assemble(n, n, rows, cols, vals, plus_monoid(FLOAT64 if want == 3 else INT64))

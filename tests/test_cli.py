@@ -408,6 +408,28 @@ def test_refused_write_leaves_output_path_untouched(capsys, tmp_path, overflowin
     assert kept.read_bytes() == b"earlier contents\n"
 
 
+def test_each_write_checks_its_values_once(capsys, monkeypatch, tmp_path):
+    """The refusal before the path is opened is the writer's own check."""
+    checks = []
+    check = io_formats.serializable_field
+
+    def counted(m):
+        checks.append(m)
+        return check(m)
+
+    monkeypatch.setattr(io_formats, "serializable_field", counted)
+    monkeypatch.setattr("sgk.cli.serializable_field", counted, raising=False)
+    src = tmp_path / "w.tsv"
+    src.write_text("0 1 0.5\n1 2 1.5\n2 0 2.5\n")
+    out = tmp_path / "w.mtx"
+    assert run(["convert", str(src), "-o", str(out)]) == 0
+    assert len(checks) == 1
+    assert run(["mxm", "--semiring", "plus_times", str(out), str(out),
+                "-o", str(tmp_path / "sq.mtx")]) == 0
+    assert len(checks) == 2
+    capsys.readouterr()
+
+
 def test_pagerank_alpha_out_of_range_is_exit_3(capsys, tmp_path):
     p = tmp_path / "cycle.tsv"
     p.write_text("0 1\n1 2\n2 0\n")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import coo_matrices, int_sampler, random_csr
 from sgk.containers import (
@@ -34,7 +35,7 @@ from sgk.errors import (
     IndexRangeError,
     SgkError,
 )
-from sgk.semirings import min_monoid, plus_monoid
+from sgk.semirings import min_monoid, or_monoid, plus_monoid
 
 
 def k3_pattern() -> CompressedMatrix:
@@ -76,6 +77,60 @@ def test_values_are_domain_checked():
 
     with pytest.raises(DomainMismatchError):
         build_from_triples(2, 2, [(0, 0, 1.5)], plus_monoid(INT64))
+
+
+def test_earlier_triple_error_is_reported_first():
+    from sgk.errors import DomainMismatchError
+
+    dup = plus_monoid(INT64)
+    with pytest.raises(DomainMismatchError, match="value 1.5"):
+        build_from_triples(2, 2, [(0, 0, 1.5), (5, 0, 1)], dup)
+    with pytest.raises(IndexRangeError, match="triple 0"):
+        build_from_triples(2, 2, [(5, 0, 1.5), (0, 0, 1.5)], dup)
+    with pytest.raises(IndexRangeError, match="triple 1"):
+        build_from_triples(2, 2, [(0, 0, 1), (0, 2, 1.5)], dup)
+
+
+def reference_build(triples, dup) -> tuple:
+    """Reference: the dict-and-sort build that `build_from_triples` replaced.
+    Values fold into a (row, col)-keyed dict in input order, then the keys
+    are sorted."""
+    seen = {}
+    for r, c, v in triples:
+        seen[(r, c)] = dup.op.eval(seen[(r, c)], v) if (r, c) in seen else v
+    return tuple((r, c, seen[(r, c)]) for r, c in sorted(seen))
+
+
+# Values whose fold depends on its order: float sums that round away the
+# small term, int-64 sums that wrap, and booleans.
+_FOLD_CASES = {
+    "float": (plus_monoid(FLOAT64), st.sampled_from([1e16, 1.0, -1e16, 0.5, -3.0])),
+    "int": (plus_monoid(INT64), st.sampled_from([2**63 - 1, 2**62, -2**63, 1, -1])),
+    "bool": (or_monoid(), st.booleans()),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOLD_CASES))
+@given(data=st.data())
+def test_build_matches_the_dict_and_sort_reference(case, data):
+    dup, values = _FOLD_CASES[case]
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    triples = data.draw(st.lists(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), values), max_size=30))
+    ordered = sorted(triples, key=lambda t: t[:2])
+    order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    if order == "sorted":
+        triples = ordered
+    elif order == "reversed":
+        triples = ordered[::-1]
+    else:
+        triples = data.draw(st.permutations(triples))
+    m = build_from_triples(nrows, ncols, triples, dup)
+    typed = [(r, c, type(v), v) for r, c, v in m.triples]
+    assert typed == [(r, c, type(v), v) for r, c, v in reference_build(triples, dup)]
+    assert all(type(t) is Triple for t in m.triples)
+    assert check_invariants(m)
 
 
 # ---------------------------------------------------------------------------

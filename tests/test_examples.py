@@ -4,6 +4,7 @@ match what the code does."""
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -70,6 +71,30 @@ def test_ab_pairs_counts_wins_and_applies_the_gain_rule():
     # Every pair won, but the medians differ by less than the base's spread.
     c = ab.compare([1.0, 2.0, 3.0, 4.0], [0.9, 1.9, 2.9, 3.9])
     assert c["change_wins"] == 4 and not c["gain"]
+
+
+def test_ab_pairs_verdict_applies_the_no_regression_bound():
+    ab = _ab_pairs()
+    base = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    assert ab.verdict(base, [x * 1.2 for x in base], 0.25) == "ok"
+    assert ab.verdict(base, [x * 1.3 for x in base], 0.25) == "regressed"
+    assert ab.verdict(base, [x * 1.1 for x in base], 0.25) == "ok"
+    assert ab.verdict(base, [x * 1.12 for x in base], 0.1) == "regressed"
+    # The base spread is wider than the bound: only a change whose every
+    # run beats every base run is resolved.
+    wide = [1.0, 1.5, 2.0, 2.5, 3.0]
+    assert ab.verdict(wide, [1.9, 2.0, 2.1, 2.2, 2.3], 0.25) == "unresolved"
+    assert ab.verdict(wide, [0.5, 0.6, 0.7, 0.8, 0.9], 0.25) == "ok"
+    # A regression beyond the bound is reported even when the spread is wide.
+    assert ab.verdict(wide, [x * 2 for x in wide], 0.25) == "regressed"
+
+
+def test_ab_pairs_reads_bounds_from_the_benchmark_declaration():
+    ab = _ab_pairs()
+    seconds, bounds = ab.declared(str(ROOT))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert seconds == spec["run_seconds"]
+    assert bounds == {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def test_ab_pairs_quartiles():

@@ -27,6 +27,7 @@ from sgk.domains import (
     OPAQUE,
 )
 from sgk.errors import (
+    DomainMismatchError,
     IndexRangeError,
     ParseError,
     UnserializableDomainError,
@@ -502,6 +503,19 @@ _BANNER = "%%MatrixMarket matrix coordinate real general\n"
     (el, "# c\n\n0\t x\n", "line 3: invalid vertex index in '0\\t x'"),
     (el, "\n0 1 y\n", "line 2: invalid weight 'y'"),
     (el, "0 1 1\n0 1 NaN\n", "line 2: non-finite weight 'NaN'"),
+    # A token the inline parse refuses goes to the helper that names it.
+    (mm, _BANNER + "2 2 1\nx 1 1.0\n", "line 3: invalid row index 'x'"),
+    (mm, _BANNER + "2 2 1\n1 x 1.0\n", "line 3: invalid column index 'x'"),
+    (mm, _BANNER + "2 2 1\n1 1.5 1.0\n", "line 3: invalid column index '1.5'"),
+    (mm, _BANNER + "2 2 1\n1 1 nan\n", "line 3: non-finite value 'nan'"),
+    (mm, _BANNER + "2 2 1\n1 1 1e999\n", "line 3: non-finite value '1e999'"),
+    # The row is checked before the column, and both before the value.
+    (mm, _BANNER + "2 2 1\nx y z\n", "line 3: invalid row index 'x'"),
+    (mm, _BANNER + "2 2 1\n1 y z\n", "line 3: invalid column index 'y'"),
+    # The first bad line is reported, however bad the lines after it.
+    (mm, _BANNER + "2 2 2\n1 1 z\nx 9 inf\n", "line 3: invalid real value 'z'"),
+    (el, "0 1 x\ny 1 2\n", "line 1: invalid weight 'x'"),
+    (el, "0 1 inf\n-1 2 3\n", "line 1: non-finite weight 'inf'"),
 ])
 def test_reader_errors_name_the_line_and_quote_it(read, text, message):
     """End-of-input errors name the last line read, blank or comment lines
@@ -509,6 +523,40 @@ def test_reader_errors_name_the_line_and_quote_it(read, text, message):
     with pytest.raises(ParseError) as e:
         read(text)
     assert str(e.value) == message
+
+
+_INTEGER = "%%MatrixMarket matrix coordinate integer general\n"
+
+
+@pytest.mark.parametrize("read, text, error, message", [
+    (mm, _BANNER + "2 2 1\n0 1 1.0\n", IndexRangeError,
+     "line 3: row index 0 out of bounds [1, 2]"),
+    (mm, _BANNER + "2 2 1\n3 1 1.0\n", IndexRangeError,
+     "line 3: row index 3 out of bounds [1, 2]"),
+    (mm, _BANNER + "2 3 1\n2 4 1.0\n", IndexRangeError,
+     "line 3: column index 4 out of bounds [1, 3]"),
+    (mm, _BANNER + "2 2 1\n99999999999999999999 1 1.0\n", IndexRangeError,
+     "line 3: row index 99999999999999999999 out of bounds [1, 2]"),
+    # A bad row wins over a bad value on its line, and the first bad line wins.
+    (mm, _BANNER + "2 2 1\n0 1 x\n", IndexRangeError,
+     "line 3: row index 0 out of bounds [1, 2]"),
+    (mm, _BANNER + "2 2 2\n1 3 1.0\nx 1 1.0\n", IndexRangeError,
+     "line 3: column index 3 out of bounds [1, 2]"),
+    (el, "-1 0 x\n", IndexRangeError, "line 1: negative vertex index -1"),
+    (el, "0 1\n2 -3\n", IndexRangeError, "line 2: negative vertex index -3"),
+    # Integer values are checked against the domain once every line parsed,
+    # so a malformed later line is reported first.
+    (mm, _INTEGER + "2 2 1\n1 1 9223372036854775808\n", DomainMismatchError,
+     "value 9223372036854775808 is not in domain signed-int-64"),
+    (mm, _INTEGER + "2 2 2\n1 1 -9223372036854775809\n2 2 1\n", DomainMismatchError,
+     "value -9223372036854775809 is not in domain signed-int-64"),
+    (mm, _INTEGER + "2 2 2\n1 1 9223372036854775808\n2 2 x\n", ParseError,
+     "line 4: invalid integer value 'x'"),
+])
+def test_reader_range_and_domain_errors(read, text, error, message):
+    with pytest.raises(error) as e:
+        read(text)
+    assert type(e.value) is error and str(e.value) == message
 
 
 def test_edge_list_empty_stream_is_empty_matrix():
@@ -530,6 +578,8 @@ def test_edge_list_dimension_tracks_largest_index():
     (mm, _BANNER + "% c\n1 5 0\n", "line 3: size 1x5 exceeds the dimension limit 4"),
     (el, "0 1\n# c\n4 0\n", "line 3: vertex index 4 needs a dimension above the limit 4"),
     (el, "0 1 1.5\n2 9 1.5\n", "line 2: vertex index 9 needs a dimension above the limit 4"),
+    (el, "0 3\n1 2\n2 1\n3 5\n", "line 4: vertex index 5 needs a dimension above the limit 4"),
+    (el, "3 0\n1 4\n", "line 2: vertex index 4 needs a dimension above the limit 4"),
 ])
 def test_readers_refuse_dimensions_above_the_limit(monkeypatch, read, text, message):
     monkeypatch.setattr(io_formats, "MAX_DIMENSION", 4)
