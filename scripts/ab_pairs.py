@@ -21,6 +21,15 @@ BASE's median times (1 + bound), `unresolved` when BASE's interquartile
 range is wider than bound times its median and some CHANGE run does not
 beat every BASE run, `ok` otherwise.  Exits 1 when any run fails or reports
 an incorrect output.
+
+    python3 scripts/ab_pairs.py BASE CHANGE --workload iterate --seed 3 --counters
+
+With --counters, each side instead makes one `--trace 1` run of
+COUNTER_SECONDS at the given seed, and every exact counter that differs is
+printed as name, BASE value, CHANGE value.  The exact counters are the
+per-layer metrics not measured in seconds, less `cli.stdout_bytes` (it
+counts the digits of each command's elapsed time); they do not depend on
+the run length.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COUNTER_SECONDS = 2.0
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -74,6 +84,22 @@ def verdict(base: list[float], change: list[float], bound: float) -> str:
     return "ok"
 
 
+def counter_diff(base: dict, change: dict) -> list[tuple[str, float, float]]:
+    """(name, base value, change value) of each exact counter whose values
+    differ, in `base`'s order; both are `--trace 1` "metrics" objects.  A
+    counter only one side reports reads as None on the other."""
+    missing = {"value": None, "unit": ""}
+    names = list(base) + [m for m in change if m not in base]
+    out = []
+    for m in names:
+        b, c = base.get(m, missing), change.get(m, missing)
+        if "s" in (b["unit"], c["unit"]) or m == "cli.stdout_bytes":
+            continue
+        if b["value"] != c["value"]:
+            out.append((m, b["value"], c["value"]))
+    return out
+
+
 def extract(rev: str, dest: str) -> None:
     """Write the tree of `rev` into `dest` (git archive piped into tar)."""
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
@@ -91,17 +117,34 @@ def declared(tree: str) -> tuple[float, dict[str, float]]:
     return spec["run_seconds"], {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one untraced benchmark run in `tree`."""
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The JSON result of one benchmark run in `tree`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"error: benchmark run in {tree} exited {proc.returncode}")
     return json.loads(lines[-1])
+
+
+def compare_counters(trees: dict, args) -> int:
+    """Print the exact counters that differ between one traced run per side."""
+    results = {side: run_once(tree, args.workload, args.seed, COUNTER_SECONDS, trace=1)
+               for side, tree in trees.items()}
+    ok = True
+    for side, result in results.items():
+        ok = ok and result["correct"] and result["failed"] == 0
+        print(f"{side}: correct {result['correct']}, failed "
+              f"{result['failed']}/{result['attempted']}")
+    diffs = counter_diff(results["base"]["metrics"], results["change"]["metrics"])
+    print(f"{args.workload} seed {args.seed}, base {args.base} vs change {args.change}: "
+          f"{len(diffs)} exact counters differ")
+    for name, b, c in diffs:
+        print(f"{name} {b} {c}")
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
@@ -111,6 +154,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--counters", action="store_true",
+                    help="compare the exact --trace 1 counters of one run per side")
     args = ap.parse_args(argv)
 
     runs: dict[str, dict[str, list[float]]] = {"base": {}, "change": {}}
@@ -121,6 +166,8 @@ def main(argv=None) -> int:
             trees[side] = os.path.join(tmp, side)
             os.mkdir(trees[side])
             extract(getattr(args, side), trees[side])
+        if args.counters:
+            return compare_counters(trees, args)
         seconds, bounds = declared(trees["base"])
         if declared(trees["change"]) != (seconds, bounds):
             raise SystemExit("error: the two revisions declare different run_seconds or bounds")

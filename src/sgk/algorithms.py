@@ -16,6 +16,7 @@ from .containers import (
     COL,
     CompressedMatrix,
     SparseVector,
+    _check_index_list,
     build_from_triples,
     densify_vector,
     entries_of,
@@ -29,8 +30,7 @@ from .containers import (
 )
 from .domains import BOOLEAN, FLOAT64, INT64
 from .errors import InternalInvariantError, PreconditionError
-from .kernels import (_check_index_list, apply_unary, ewise_mult, mxm, mxv, reduce,
-                      scale_matrix, scale_vector)
+from .kernels import apply_unary, ewise_mult, mxm, mxv, reduce, scale_matrix, scale_vector
 from .semirings import BinaryOp, Monoid, UnaryOp, registry_get
 
 
@@ -85,19 +85,18 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     sr = registry_get("or_and")
     pat = _pattern(a, BOOLEAN, True)
     frontier = vector_from_entries(n, [(i, True) for i in sorted(src)], BOOLEAN)
-    visited = set(src)
     levels: dict[int, int] = {i: 0 for i in src}
     for level in range(1, n + 1):
         if not vector_entries(frontier):
             break
+        # The visited vertices are exactly those with a level.
         visited_vec = vector_from_entries(
-            n, [(i, True) for i in sorted(visited)], BOOLEAN
+            n, [(i, True) for i in sorted(levels)], BOOLEAN
         )
         # w(j) = OR over i of (frontier(i) AND A(i, j)): one hop out.
         nxt = mxv(pat, frontier, sr, transpose_input=True)
         frontier = scale_vector(nxt, pattern_complement(visited_vec), sr.mul)
         for i, _v in vector_entries(frontier):
-            visited.add(i)
             levels[i] = level
     else:
         if vector_entries(frontier):
@@ -150,24 +149,21 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     """Label each vertex of an undirected graph with the smallest vertex
     index in its component.
 
-    Labels spread along edges with min_select2nd: each product replaces a
-    vertex's label by the minimum label among itself and its neighbors
-    (self-loops carry the vertex's own label through).
+    Labels spread along edges with min_select2nd: each round takes the
+    minimum label among a vertex's neighbors (the identity where it has
+    none) and keeps the smaller of that and the vertex's own label.
     """
     n = _require_square(a, "connected_components")
     sr = registry_get("min_select2nd")
-    ones = [(r, c, 1) for r, c, _v in entries_of(a)]
-    pat = to_compressed(
-        build_from_triples(n, n, ones + [(i, i, 1) for i in range(n)], sr.add),
-        a.orientation,
-    )
+    pat = _pattern(a, INT64, 1)
     if not is_symmetric(pat):
         raise PreconditionError(
             "connected_components: adjacency pattern is not symmetric"
         )
     labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
     for _ in range(n + 1):
-        nxt = mxv(pat, labels, sr, transpose_input=False)
+        nbr = densify_vector(mxv(pat, labels, sr, transpose_input=False), sr.zero)
+        nxt = scale_vector(labels, nbr, sr.add.op)
         if vector_entries(nxt) == vector_entries(labels):
             return labels
         labels = nxt

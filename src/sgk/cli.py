@@ -22,10 +22,10 @@ from . import algorithms
 from .containers import (
     CompressedMatrix,
     SparseVector,
+    entries_of,
     is_symmetric,
     nvals,
     to_compressed,
-    to_tuples,
     vector_entries,
     vector_from_entries,
 )
@@ -171,7 +171,7 @@ def _load_vector(path: str) -> SparseVector:
             f"{path}: vector input must be a single-column matrix, "
             f"got {m.nrows}x{m.ncols}"
         )
-    entries = [(r, v) for r, _c, v in to_tuples(m).triples]
+    entries = [(r, v) for r, _c, v in entries_of(m)]
     return vector_from_entries(m.nrows, entries, m.domain)
 
 

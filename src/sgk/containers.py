@@ -10,8 +10,8 @@ everywhere inside the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, compress, islice, repeat
-from operator import add, and_, eq, itemgetter, lt, mul, not_
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, and_, eq, itemgetter, lt, mul, not_, sub
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .domains import BOOLEAN, ValueDomain
@@ -194,27 +194,33 @@ def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: li
             last = list(map(not_, same))
             last.append(True)
             rows, cols, vals = (list(compress(seq, last)) for seq in (rows, cols, vals))
-    triples = tuple(map(tuple.__new__, repeat(Triple), zip(rows, cols, vals)))
-    return CooMatrix(nrows, ncols, triples, dup.domain)
+    return CooMatrix(nrows, ncols, _triples(rows, cols, vals), dup.domain)
+
+
+def _triples(rows: Iterable[int], cols: Iterable[int], vals: Iterable) -> tuple[Triple, ...]:
+    """Triples of parallel entry sequences, built without Triple's Python-level __new__."""
+    return tuple(map(tuple.__new__, repeat(Triple), zip(rows, cols, vals)))
+
+
+def _check_index_list(indices: Iterable[int], bound: int, what: str) -> None:
+    """Raise for the first index that is not an int in [0, bound) or repeats one before it."""
+    seen: set[int] = set()
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < bound:
+            raise IndexRangeError(f"{what} index {i!r} out of range [0, {bound})")
+        if i in seen:
+            raise DuplicateIndexError(f"duplicate {what} index {i}")
+        seen.add(i)
 
 
 def vector_from_entries(length: int,
                         entries: Iterable[tuple[int, Any]],
                         domain: ValueDomain) -> SparseVector:
-    """Build a sparse vector; duplicate indices are an error."""
-    contains = domain.contains
-    pairs = []
-    seen: set[int] = set()
-    for i, v in entries:
-        if not isinstance(i, int) or not 0 <= i < length:
-            raise IndexRangeError(f"index {i!r} out of range for length {length}")
-        if i in seen:
-            raise DuplicateIndexError(f"duplicate vector index {i}")
-        seen.add(i)
-        if not contains(v):
-            domain.check_value(v)
-        pairs.append((i, v))
-    pairs.sort(key=lambda p: p[0])
+    """Build a sparse vector; indices are checked (a duplicate is an error), then values."""
+    pairs = [(i, v) for i, v in entries]
+    _check_index_list(map(itemgetter(0), pairs), length, "vector")
+    _check_values(list(map(itemgetter(1), pairs)), domain)
+    pairs.sort(key=itemgetter(0))
     return SparseVector(length, tuple(pairs), domain)
 
 
@@ -245,9 +251,7 @@ def to_compressed(m: CooMatrix, orientation: str = ROW) -> CompressedMatrix:
 
 
 def to_tuples(m: CompressedMatrix) -> CooMatrix:
-    csr = reorient(m, ROW)
-    triples = tuple(Triple(i, j, v) for i in range(csr.nrows) for j, v in _slice(csr, i))
-    return CooMatrix(m.nrows, m.ncols, triples, m.domain)
+    return CooMatrix(m.nrows, m.ncols, entries_of(m), m.domain)
 
 
 def reorient(m: CompressedMatrix, orientation: str) -> CompressedMatrix:
@@ -318,7 +322,10 @@ def dims(m) -> tuple[int, int]:
 def entries_of(m) -> tuple[Triple, ...]:
     """All stored entries as (row, col, val) triples, sorted by (row, col)."""
     if isinstance(m, CompressedMatrix):
-        return to_tuples(m).triples
+        csr = reorient(m, ROW)
+        counts = map(sub, islice(csr.offsets, 1, None), csr.offsets)
+        rows = chain.from_iterable(map(repeat, range(csr.nrows), counts))
+        return _triples(rows, csr.minor_indices, csr.values)
     if isinstance(m, CooMatrix):
         return m.triples
     raise TypeError(f"entries_of is not defined for {type(m).__name__}")

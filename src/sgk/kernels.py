@@ -22,20 +22,12 @@ from .containers import (
     COL,
     ROW,
     CompressedMatrix,
-    CooMatrix,
     SparseVector,
-    Triple,
+    _check_index_list,
     _slice,
     reorient,
-    to_compressed,
-    to_tuples,
 )
-from .errors import (
-    DimensionMismatchError,
-    DomainMismatchError,
-    DuplicateIndexError,
-    IndexRangeError,
-)
+from .errors import DimensionMismatchError, DomainMismatchError
 from .semirings import BinaryOp, Monoid, Semiring, UnaryOp
 
 _AXES = ("rows", "cols")
@@ -61,7 +53,7 @@ def _require_domain(expected, *containers) -> None:
 
 
 def _from_slices(nrows: int, ncols: int,
-                 slices: Sequence[Sequence[tuple[int, Any]]],
+                 slices: Iterable[Iterable[tuple[int, Any]]],
                  domain, built: str, wanted: str) -> CompressedMatrix:
     """Assemble a matrix from per-slice (minor, val) lists.
 
@@ -100,16 +92,6 @@ def _map(pairs: Iterable[tuple[int, Any]], fn: Callable,
     """(j, fn(x)) for each (j, x) in `pairs`, leaving out results equal to
     `drop` when it is given."""
     return [(j, y) for j, x in pairs for y in (fn(x),) if drop is None or not y == drop]
-
-
-def _check_index_list(indices: Sequence[int], bound: int, what: str) -> None:
-    seen: set[int] = set()
-    for i in indices:
-        if not isinstance(i, int) or not 0 <= i < bound:
-            raise IndexRangeError(f"{what} index {i!r} out of range [0, {bound})")
-        if i in seen:
-            raise DuplicateIndexError(f"duplicate {what} index {i}")
-        seen.add(i)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +238,16 @@ def subassign(c: CompressedMatrix, rows: Sequence[int], cols: Sequence[int],
     _check_index_list(rows, c.nrows, "row")
     _check_index_list(cols, c.ncols, "column")
     _require_domain(c.domain, b)
-    rset = set(rows)
+    cr, br = reorient(c, ROW), reorient(b, ROW)
+    rowpos = {r: p for p, r in enumerate(rows)}
     cset = set(cols)
-    kept = [t for t in to_tuples(c).triples if not (t.row in rset and t.col in cset)]
-    placed = [Triple(rows[t.row], cols[t.col], t.val) for t in to_tuples(b).triples]
-    merged = tuple(sorted(kept + placed, key=lambda t: (t.row, t.col)))
-    return to_compressed(CooMatrix(c.nrows, c.ncols, merged, c.domain), c.orientation)
+    # A selected row keeps its entries outside cols and takes B's row in them;
+    # the two column sets are disjoint, so the sort never compares values.
+    out_rows = [sorted([(j, x) for j, x in _slice(cr, i) if j not in cset]
+                       + [(cols[q], x) for q, x in _slice(br, rowpos[i])])
+                if i in rowpos else _slice(cr, i)
+                for i in range(c.nrows)]
+    return _from_slices(c.nrows, c.ncols, out_rows, c.domain, ROW, c.orientation)
 
 
 # ---------------------------------------------------------------------------

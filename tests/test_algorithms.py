@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     random_digraph,
@@ -13,6 +15,7 @@ from helpers import (
     strongly_connected_digraph,
     vector_as_dict,
 )
+from sgk import algorithms
 from sgk.algorithms import (
     BfsResult,
     PageRankResult,
@@ -25,10 +28,16 @@ from sgk.algorithms import (
     triangle_count,
 )
 from sgk.containers import (
+    COL,
+    ROW,
     CooMatrix,
     Triple,
+    build_from_triples,
+    entries_of,
+    is_symmetric,
     to_compressed,
     vector_entries,
+    vector_from_entries,
 )
 from sgk.domains import BOOLEAN, FLOAT64, INT64
 from sgk.errors import (
@@ -36,7 +45,7 @@ from sgk.errors import (
     IndexRangeError,
     PreconditionError,
 )
-from sgk.kernels import subref
+from sgk.kernels import mxv, subref
 from sgk.oracle import (
     oracle_bfs,
     oracle_clustering,
@@ -45,6 +54,7 @@ from sgk.oracle import (
     oracle_sssp,
     oracle_triangles,
 )
+from sgk.semirings import registry_get
 
 
 def digraph(n, edges, domain=BOOLEAN, one=True):
@@ -244,6 +254,80 @@ def test_components_match_union_find_oracle():
         a, edges = random_undirected(n, 2.0 / max(n, 1), rng, INT64)
         got = vector_as_dict(connected_components(a))
         assert got == dict(enumerate(oracle_components(n, edges)))
+
+
+def _reference_components(a):
+    """Reference: the previous `connected_components`, which added a diagonal
+    of ones to the pattern so that each product kept a vertex's own label.
+    Returns the labels and the number of products formed."""
+    n = a.nrows
+    sr = registry_get("min_select2nd")
+    ones = [(r, c, 1) for r, c, _v in entries_of(a)]
+    pat = to_compressed(
+        build_from_triples(n, n, ones + [(i, i, 1) for i in range(n)], sr.add),
+        a.orientation,
+    )
+    if not is_symmetric(pat):
+        raise PreconditionError("connected_components: adjacency pattern is not symmetric")
+    labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
+    for rounds in range(1, n + 2):
+        nxt = mxv(pat, labels, sr, transpose_input=False)
+        if vector_entries(nxt) == vector_entries(labels):
+            return labels, rounds
+        labels = nxt
+    raise AssertionError("reference labels failed to stabilize")
+
+
+_COMPONENT_VALUES = {INT64: st.integers(-5, 5), FLOAT64: st.floats(-4.0, 4.0),
+                     BOOLEAN: st.booleans()}
+
+
+@st.composite
+def _component_graphs(draw):
+    """Undirected graphs of up to 10 vertices, with self-loops, isolated
+    vertices and arbitrary stored values, in either orientation."""
+    n = draw(st.integers(0, 10))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.sets(st.tuples(vertex, vertex), max_size=3 * n)) if n else set()
+    domain = draw(st.sampled_from(sorted(_COMPONENT_VALUES, key=lambda d: d.kind)))
+    cells = sorted(edges | {(v, u) for u, v in edges})
+    triples = tuple(Triple(u, v, draw(_COMPONENT_VALUES[domain])) for u, v in cells)
+    a = to_compressed(CooMatrix(n, n, triples, domain), draw(st.sampled_from((ROW, COL))))
+    return a, n, sorted(edges)
+
+
+@settings(max_examples=200)
+@given(_component_graphs())
+def test_components_match_the_diagonal_reference_and_the_oracle(case):
+    a, n, edges = case
+    products = []
+
+    def counted_mxv(*args, **kwargs):
+        products.append(args)
+        return mxv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxv", counted_mxv)
+        got = connected_components(a)
+    want, rounds = _reference_components(a)
+    assert vector_entries(got) == vector_entries(want)
+    assert vector_as_dict(got) == dict(enumerate(oracle_components(n, edges)))
+    assert len(products) == rounds
+
+
+@given(_component_graphs(), st.data())
+def test_components_refuse_an_asymmetric_pattern_like_the_reference(case, data):
+    a, n, _edges = case
+    assume(n >= 2)
+    cells = {(t.row, t.col) for t in entries_of(a)}
+    u, v = data.draw(st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v]))
+    one_way = sorted((cells - {(u, v), (v, u)}) | {(u, v)})
+    lopsided = to_compressed(
+        CooMatrix(n, n, tuple(Triple(r, c, 1) for r, c in one_way), INT64), a.orientation)
+    with pytest.raises(PreconditionError, match="not symmetric"):
+        connected_components(lopsided)
+    with pytest.raises(PreconditionError, match="not symmetric"):
+        _reference_components(lopsided)
 
 
 # ---------------------------------------------------------------------------

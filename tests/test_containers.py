@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import coo_matrices, int_sampler, random_csr
@@ -31,6 +31,7 @@ from sgk.containers import (
 from sgk.domains import BOOLEAN, FLOAT64, INT64
 from sgk.errors import (
     DimensionMismatchError,
+    DomainMismatchError,
     DuplicateIndexError,
     IndexRangeError,
     SgkError,
@@ -268,8 +269,31 @@ def test_vector_requires_increasing_indices_and_range():
 
 
 def test_vector_from_entries_rejects_duplicates():
-    with pytest.raises(DuplicateIndexError):
+    with pytest.raises(DuplicateIndexError, match=r"^duplicate vector index 1$"):
         vector_from_entries(4, [(1, 5), (1, 6)], INT64)
+
+
+@pytest.mark.parametrize("index", [1.0, "1", None])
+def test_vector_from_entries_rejects_a_non_int_index(index):
+    with pytest.raises(IndexRangeError, match=r"^vector index .* out of range \[0, 3\)$"):
+        vector_from_entries(3, [(0, 1), (index, 2)], INT64)
+
+
+@pytest.mark.parametrize("index", [7, 3, -1])
+def test_vector_from_entries_rejects_an_out_of_range_index(index):
+    with pytest.raises(IndexRangeError) as err:
+        vector_from_entries(3, [(index, 5)], INT64)
+    assert str(err.value) == f"vector index {index} out of range [0, 3)"
+
+
+def test_vector_from_entries_checks_indices_before_values():
+    with pytest.raises(DomainMismatchError):
+        vector_from_entries(3, [(0, 1.5)], INT64)
+    # A bad value earlier in the input does not hide a bad index after it.
+    with pytest.raises(IndexRangeError, match=r"^vector index 7 "):
+        vector_from_entries(3, [(0, 1.5), (7, 5)], INT64)
+    with pytest.raises(DuplicateIndexError):
+        vector_from_entries(3, [(0, 1.5), (1, 2), (1, 3)], INT64)
 
 
 def test_vector_from_entries_sorts():
@@ -318,6 +342,28 @@ def test_entries_of_compressed_sorted_row_major():
     m = reorient(k3_pattern(), COL)
     ents = entries_of(m)
     assert ents == tuple(sorted(ents, key=lambda t: (t.row, t.col)))
+
+
+def _reference_entries_of(m: CompressedMatrix) -> tuple:
+    """Reference: the previous `entries_of`, one Triple per stored entry of
+    the row-major form through Triple's own constructor."""
+    csr = reorient(m, ROW)
+    return tuple(Triple(i, csr.minor_indices[p], csr.values[p])
+                 for i in range(csr.nrows) for p in range(csr.offsets[i], csr.offsets[i + 1]))
+
+
+@given(coo_matrices())
+@example(CooMatrix(5, 4, (Triple(1, 0, 8), Triple(1, 3, 7), Triple(4, 2, 9)), INT64))
+@example(CooMatrix(3, 0, (), INT64))
+@example(CooMatrix(0, 0, (), INT64))
+def test_entries_of_matches_the_per_triple_reference(coo):
+    for orientation in (ROW, COL):
+        m = to_compressed(coo, orientation)
+        got = entries_of(m)
+        assert type(got) is tuple
+        assert all(type(t) is Triple for t in got)
+        assert got == _reference_entries_of(m) == coo.triples
+        assert to_tuples(m) == coo
 
 
 # ---------------------------------------------------------------------------

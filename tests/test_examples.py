@@ -103,3 +103,25 @@ def test_ab_pairs_quartiles():
     assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
     with pytest.raises(ValueError):
         ab.compare([1.0], [])
+
+
+def test_ab_pairs_counter_diff_lists_changed_exact_counters():
+    ab = _ab_pairs()
+
+    def metric(value, unit="count"):
+        return {"value": value, "unit": unit}
+
+    base = {"kernels.mxv_s": metric(0.5, "s"), "kernels.mxv_calls": metric(7),
+            "kernels.mxv_nnz_a": metric(100), "cli.stdout_bytes": metric(900, "bytes"),
+            "kernels.mxv_useful_ratio": metric(0.5, "ratio")}
+    change = {**base, "kernels.mxv_s": metric(0.4, "s"), "kernels.mxv_nnz_a": metric(93),
+              "cli.stdout_bytes": metric(901, "bytes"),
+              "kernels.mxv_useful_ratio": metric(0.25, "ratio"),
+              "algorithms.cc_rounds": metric(3)}
+    # Times and the byte count of the rendered output are left out.
+    assert ab.counter_diff(base, change) == [
+        ("kernels.mxv_nnz_a", 100, 93),
+        ("kernels.mxv_useful_ratio", 0.5, 0.25),
+        ("algorithms.cc_rounds", None, 3),
+    ]
+    assert ab.counter_diff(base, base) == []

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_matrix_equals_dense,
+    coo_matrices,
     assert_vector_equals_dense,
     int_sampler,
     random_csr,
@@ -27,7 +28,7 @@ from sgk.containers import (
     to_tuples,
     vector_entries,
 )
-from sgk.domains import BOOLEAN, FLOAT64, INT64
+from sgk.domains import BOOLEAN, FLOAT64, INT64, OPAQUE
 from sgk.errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -323,6 +324,51 @@ def test_subassign_subref_round_trip():
 def test_subassign_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         subassign(k3(), [0], [0, 1], to_compressed(CooMatrix(2, 2, (), INT64)))
+
+
+def _reference_subassign(c, rows, cols, b):
+    """Reference: the previous `subassign`, which merged the kept and placed
+    triples with a keyed sort and compressed the result again."""
+    rset, cset = set(rows), set(cols)
+    kept = [t for t in to_tuples(c).triples if not (t.row in rset and t.col in cset)]
+    placed = [Triple(rows[t.row], cols[t.col], t.val) for t in to_tuples(b).triples]
+    merged = tuple(sorted(kept + placed, key=lambda t: (t.row, t.col)))
+    return to_compressed(CooMatrix(c.nrows, c.ncols, merged, c.domain), c.orientation)
+
+
+_SUBASSIGN_VALUES = {
+    INT64: st.integers(-50, 50),
+    BOOLEAN: st.booleans(),
+    # Unorderable values: merging must never compare two of them.
+    OPAQUE: st.one_of(st.builds(object), st.none(), st.lists(st.integers(), max_size=2)),
+}
+
+
+@st.composite
+def _subassign_cases(draw):
+    domain = draw(st.sampled_from(sorted(_SUBASSIGN_VALUES, key=lambda d: d.kind)))
+    values = _SUBASSIGN_VALUES[domain]
+    c = draw(coo_matrices(domain=domain, values=values))
+    # Any order of any subset, so permuted, partial, full and empty lists.
+    rows = draw(st.permutations(range(c.nrows)))[:draw(st.integers(0, c.nrows))]
+    cols = draw(st.permutations(range(c.ncols)))[:draw(st.integers(0, c.ncols))]
+    cells = draw(st.sets(st.tuples(st.sampled_from(range(len(rows))),
+                                   st.sampled_from(range(len(cols)))))) if rows and cols else set()
+    b = CooMatrix(len(rows), len(cols),
+                  tuple(Triple(r, q, draw(values)) for r, q in sorted(cells)), domain)
+    return (to_compressed(c, draw(st.sampled_from((ROW, COL)))), rows, cols,
+            to_compressed(b, draw(st.sampled_from((ROW, COL)))))
+
+
+@settings(max_examples=200)
+@given(_subassign_cases())
+def test_subassign_matches_the_triple_merge_reference(case):
+    c, rows, cols, b = case
+    before = snapshot(c), snapshot(b)
+    got = subassign(c, rows, cols, b)
+    assert snapshot(got) == snapshot(_reference_subassign(c, rows, cols, b))
+    assert check_invariants(got)
+    assert (snapshot(c), snapshot(b)) == before
 
 
 # ---------------------------------------------------------------------------
