@@ -3,6 +3,10 @@
 
     python3 scripts/ab_pairs.py BASE CHANGE --workload products --seed 7 --pairs 10
 
+`--workload` may be given more than once (`--workload traverse --workload
+products`); each named workload is then measured in turn, with its own
+pairs and its own report, from one extraction of the two trees.
+
 BASE and CHANGE are git revisions of this repository (pass `$(git stash
 create)` as CHANGE to measure uncommitted work).  Each is extracted with
 `git archive REV | tar -x` into a temporary directory, and
@@ -20,7 +24,7 @@ metric's `bound` in BENCHMARK.json: `regressed` when CHANGE's median exceeds
 BASE's median times (1 + bound), `unresolved` when BASE's interquartile
 range is wider than bound times its median and some CHANGE run does not
 beat every BASE run, `ok` otherwise.  Exits 1 when any run fails or reports
-an incorrect output.
+an incorrect output on any workload.
 
     python3 scripts/ab_pairs.py BASE CHANGE --workload iterate --seed 3 --counters
 
@@ -130,9 +134,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0
     return json.loads(lines[-1])
 
 
-def compare_counters(trees: dict, args) -> int:
-    """Print the exact counters that differ between one traced run per side."""
-    results = {side: run_once(tree, args.workload, args.seed, COUNTER_SECONDS, trace=1)
+def compare_counters(trees: dict, workload: str, args) -> bool:
+    """Print the exact counters that differ between one traced run per side;
+    False when a run fails or reports an incorrect output."""
+    results = {side: run_once(tree, workload, args.seed, COUNTER_SECONDS, trace=1)
                for side, tree in trees.items()}
     ok = True
     for side, result in results.items():
@@ -140,50 +145,32 @@ def compare_counters(trees: dict, args) -> int:
         print(f"{side}: correct {result['correct']}, failed "
               f"{result['failed']}/{result['attempted']}")
     diffs = counter_diff(results["base"]["metrics"], results["change"]["metrics"])
-    print(f"{args.workload} seed {args.seed}, base {args.base} vs change {args.change}: "
+    print(f"{workload} seed {args.seed}, base {args.base} vs change {args.change}: "
           f"{len(diffs)} exact counters differ")
     for name, b, c in diffs:
         print(f"{name} {b} {c}")
-    return 0 if ok else 1
+    return ok
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("base")
-    ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--counters", action="store_true",
-                    help="compare the exact --trace 1 counters of one run per side")
-    args = ap.parse_args(argv)
-
+def compare_pairs(trees: dict, workload: str, args, seconds: float,
+                  bounds: dict[str, float]) -> bool:
+    """Run and report `args.pairs` alternating pairs of one workload; False
+    when a run fails or reports an incorrect output."""
     runs: dict[str, dict[str, list[float]]] = {"base": {}, "change": {}}
     ok = True
-    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        trees = {}
-        for side in ("base", "change"):
-            trees[side] = os.path.join(tmp, side)
-            os.mkdir(trees[side])
-            extract(getattr(args, side), trees[side])
-        if args.counters:
-            return compare_counters(trees, args)
-        seconds, bounds = declared(trees["base"])
-        if declared(trees["change"]) != (seconds, bounds):
-            raise SystemExit("error: the two revisions declare different run_seconds or bounds")
-        for k in range(args.pairs):
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            for side in order:
-                result = run_once(trees[side], args.workload, args.seed, seconds)
-                ok = ok and result["correct"] and result["failed"] == 0
-                values = {m: result["metrics"][m]["value"] for m in bounds}
-                for m, v in values.items():
-                    runs[side].setdefault(m, []).append(v)
-                print(f"pair {k} {side}: correct {result['correct']}, failed "
-                      f"{result['failed']}/{result['attempted']}, "
-                      + ", ".join(f"{m} {v:.4f}" for m, v in values.items()), flush=True)
+    for k in range(args.pairs):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for side in order:
+            result = run_once(trees[side], workload, args.seed, seconds)
+            ok = ok and result["correct"] and result["failed"] == 0
+            values = {m: result["metrics"][m]["value"] for m in bounds}
+            for m, v in values.items():
+                runs[side].setdefault(m, []).append(v)
+            print(f"pair {k} {side}: correct {result['correct']}, failed "
+                  f"{result['failed']}/{result['attempted']}, "
+                  + ", ".join(f"{m} {v:.4f}" for m, v in values.items()), flush=True)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
           f"base {args.base} vs change {args.change}")
     for m, bound in bounds.items():
         c = compare(runs["base"][m], runs["change"][m])
@@ -192,7 +179,41 @@ def main(argv=None) -> int:
               f"change wins {c['change_wins']}, base wins {c['base_wins']}, ties {c['ties']}  "
               f"gain {'yes' if c['gain'] else 'no'}  "
               f"{verdict(runs['base'][m], runs['change'][m], bound)} (bound {bound:g})")
-    print(json.dumps(runs))
+    print(json.dumps(runs), flush=True)
+    return ok
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("change")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload to measure; repeat to measure several in turn")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--counters", action="store_true",
+                    help="compare the exact --trace 1 counters of one run per side")
+    return ap.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        trees = {}
+        for side in ("base", "change"):
+            trees[side] = os.path.join(tmp, side)
+            os.mkdir(trees[side])
+            extract(getattr(args, side), trees[side])
+        if not args.counters:
+            seconds, bounds = declared(trees["base"])
+            if declared(trees["change"]) != (seconds, bounds):
+                raise SystemExit("error: the two revisions declare different run_seconds or bounds")
+        for workload in args.workload:
+            if args.counters:
+                ok = compare_counters(trees, workload, args) and ok
+            else:
+                ok = compare_pairs(trees, workload, args, seconds, bounds) and ok
     return 0 if ok else 1
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .containers import (
     COL,
+    ROW,
     CompressedMatrix,
     SparseVector,
     _check_index_list,
@@ -160,6 +161,8 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
         raise PreconditionError(
             "connected_components: adjacency pattern is not symmetric"
         )
+    # Row-major once, so the products below never reorient.
+    pat = reorient(pat, ROW)
     labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
     for _ in range(n + 1):
         nbr = densify_vector(mxv(pat, labels, sr, transpose_input=False), sr.zero)
@@ -172,9 +175,9 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     )
 
 
-def _corners(a: CompressedMatrix, name: str) -> tuple:
-    """Semiring, 0/1 pattern P and P masked to (P.P) of a simple undirected
-    graph: entry (i, j) counts the triangles through edge i-j."""
+def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:
+    """Semiring and 0/1 pattern of a simple undirected graph: square, with
+    no self-loops and a symmetric pattern (checked in that order)."""
     _require_square(a, name)
     for r, c, _v in entries_of(a):
         if r == c:
@@ -183,22 +186,30 @@ def _corners(a: CompressedMatrix, name: str) -> tuple:
     pat = _pattern(a, INT64, 1)
     if not is_symmetric(pat):
         raise PreconditionError(f"{name}: adjacency pattern is not symmetric")
-    return sr, pat, ewise_mult(pat, mxm(pat, pat, sr), sr.mul)
+    return sr, pat
+
+
+def _lower(pat: CompressedMatrix) -> CompressedMatrix:
+    """Strictly lower triangle (row > column) of a 0/1 INT64 pattern."""
+    ids = vector_from_entries(pat.nrows, [(i, i) for i in range(pat.nrows)], INT64)
+    row_of = BinaryOp("row_of", INT64, lambda _x, i: i)
+    below = BinaryOp("below_diagonal", INT64, lambda i, j: int(i > j))
+    keep = UnaryOp("identity", INT64, INT64, lambda x: x)
+    tagged = scale_matrix(scale_matrix(pat, ids, row_of, "rows"), ids, below, "cols")
+    return apply_unary(tagged, keep, drop_zeros_for=0)
 
 
 def triangle_count(a: CompressedMatrix) -> int:
     """Count triangles in a simple undirected graph.
 
-    Sums the entries of A.A masked to A's own pattern; every triangle is
-    counted once per ordered corner traversal, six times in all.
+    With L the strictly lower triangle of the pattern, (L.L)(i, k) masked
+    to L counts the middle vertices j of each path i > j > k closed by the
+    edge i-k, so the masked entries sum to every triangle counted once.
     """
-    sr, _pat, corners = _corners(a, "triangle_count")
-    total = _vec_total(reduce(corners, sr.add, "rows"), sr.add)
-    if total % 6 != 0:
-        raise InternalInvariantError(
-            f"triangle_count: corner total {total} is not divisible by 6"
-        )
-    return total // 6
+    sr, pat = _simple_pattern(a, "triangle_count")
+    low = _lower(pat)
+    corners = ewise_mult(low, mxm(low, low, sr), sr.mul)
+    return _vec_total(reduce(corners, sr.add, "rows"), sr.add)
 
 
 def clustering_coefficients(a: CompressedMatrix) -> SparseVector:
@@ -209,10 +220,10 @@ def clustering_coefficients(a: CompressedMatrix) -> SparseVector:
     wedges and get no entry, and neither do vertices with wedges but no
     triangle; an absent entry reads as a zero coefficient.
     """
-    sr, pat, corners = _corners(a, "clustering_coefficients")
-    # Row sums of the masked square give 2 t(i); d(i)(d(i)-1) counts
-    # ordered wedges, so the ratio is the coefficient with no halving.
-    tri2 = reduce(corners, sr.add, "rows")
+    sr, pat = _simple_pattern(a, "clustering_coefficients")
+    # Row sums of the square masked to the pattern give 2 t(i); d(i)(d(i)-1)
+    # counts ordered wedges, so the ratio is the coefficient with no halving.
+    tri2 = reduce(ewise_mult(pat, mxm(pat, pat, sr), sr.mul), sr.add, "rows")
     deg = reduce(pat, sr.add, "rows")
     wedges2 = apply_unary(
         deg,

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    coo_matrices,
     random_digraph,
     random_undirected,
     random_weighted_digraph,
@@ -15,7 +16,7 @@ from helpers import (
     strongly_connected_digraph,
     vector_as_dict,
 )
-from sgk import algorithms
+from sgk import algorithms, kernels
 from sgk.algorithms import (
     BfsResult,
     PageRankResult,
@@ -33,8 +34,10 @@ from sgk.containers import (
     CooMatrix,
     Triple,
     build_from_triples,
+    check_invariants,
     entries_of,
     is_symmetric,
+    reorient,
     to_compressed,
     vector_entries,
     vector_from_entries,
@@ -45,7 +48,7 @@ from sgk.errors import (
     IndexRangeError,
     PreconditionError,
 )
-from sgk.kernels import mxv, subref
+from sgk.kernels import apply_unary, ewise_mult, mxm, mxv, reduce, subref
 from sgk.oracle import (
     oracle_bfs,
     oracle_clustering,
@@ -54,7 +57,7 @@ from sgk.oracle import (
     oracle_sssp,
     oracle_triangles,
 )
-from sgk.semirings import registry_get
+from sgk.semirings import UnaryOp, registry_get
 
 
 def digraph(n, edges, domain=BOOLEAN, one=True):
@@ -278,7 +281,7 @@ def _reference_components(a):
     raise AssertionError("reference labels failed to stabilize")
 
 
-_COMPONENT_VALUES = {INT64: st.integers(-5, 5), FLOAT64: st.floats(-4.0, 4.0),
+_ADJACENCY_VALUES = {INT64: st.integers(-5, 5), FLOAT64: st.floats(-4.0, 4.0),
                      BOOLEAN: st.booleans()}
 
 
@@ -289,9 +292,9 @@ def _component_graphs(draw):
     n = draw(st.integers(0, 10))
     vertex = st.integers(0, max(n - 1, 0))
     edges = draw(st.sets(st.tuples(vertex, vertex), max_size=3 * n)) if n else set()
-    domain = draw(st.sampled_from(sorted(_COMPONENT_VALUES, key=lambda d: d.kind)))
+    domain = draw(st.sampled_from(sorted(_ADJACENCY_VALUES, key=lambda d: d.kind)))
     cells = sorted(edges | {(v, u) for u, v in edges})
-    triples = tuple(Triple(u, v, draw(_COMPONENT_VALUES[domain])) for u, v in cells)
+    triples = tuple(Triple(u, v, draw(_ADJACENCY_VALUES[domain])) for u, v in cells)
     a = to_compressed(CooMatrix(n, n, triples, domain), draw(st.sampled_from((ROW, COL))))
     return a, n, sorted(edges)
 
@@ -330,6 +333,31 @@ def test_components_refuse_an_asymmetric_pattern_like_the_reference(case, data):
         _reference_components(lopsided)
 
 
+@pytest.mark.parametrize("orientation, reorients", [(ROW, 0), (COL, 1)])
+def test_components_orient_the_pattern_once(orientation, reorients):
+    n = 200
+    ring = undirected(n, [(i, (i + 1) % n) for i in range(n)])
+    a = reorient(ring, orientation)
+    changed = []
+
+    def counted(module):
+        real = module.reorient
+
+        def counting(m, wanted):
+            if m.orientation != wanted:
+                changed.append(module.__name__)
+            return real(m, wanted)
+        return counting
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (algorithms, kernels):
+            mp.setattr(module, "reorient", counted(module))
+        got = connected_components(a)
+    assert vector_entries(got) == vector_entries(connected_components(ring))
+    assert vector_as_dict(got) == {i: 0 for i in range(n)}
+    assert len(changed) == reorients
+
+
 # ---------------------------------------------------------------------------
 # triangle_count / clustering_coefficients
 
@@ -348,11 +376,24 @@ def test_triangle_count_path_has_none():
     assert triangle_count(undirected(4, [(0, 1), (1, 2), (2, 3)])) == 0
 
 
+def _assert_refuses_non_simple(algorithm):
+    name = algorithm.__name__
+    loops = f"^{name}: graph must have no self-loops$"
+    with pytest.raises(PreconditionError, match=loops):
+        algorithm(digraph(2, [(0, 0), (0, 1), (1, 0)], INT64, 1))
+    with pytest.raises(PreconditionError, match=f"^{name}: adjacency pattern is not symmetric$"):
+        algorithm(digraph(3, [(0, 1)], INT64, 1))
+    # A self-loop is reported ahead of an asymmetric pattern.
+    with pytest.raises(PreconditionError, match=loops):
+        algorithm(digraph(3, [(0, 1), (2, 2)], INT64, 1))
+
+
 def test_triangle_count_rejects_self_loops_and_asymmetry():
-    with pytest.raises(PreconditionError):
-        triangle_count(digraph(2, [(0, 0), (0, 1), (1, 0)], INT64, 1))
-    with pytest.raises(PreconditionError):
-        triangle_count(digraph(3, [(0, 1)], INT64, 1))
+    _assert_refuses_non_simple(triangle_count)
+
+
+def test_clustering_rejects_self_loops_and_asymmetry():
+    _assert_refuses_non_simple(clustering_coefficients)
 
 
 def test_triangle_count_invariant_under_relabeling():
@@ -372,6 +413,55 @@ def test_triangle_count_matches_oracle():
         n = rng.randint(1, 25)
         a, edges = random_undirected(n, 4.0 / max(n, 1), rng, INT64)
         assert triangle_count(a) == oracle_triangles(n, edges)
+
+
+def _reference_triangles(a):
+    """Reference: the previous `triangle_count`, which masked the full square
+    of the pattern to the pattern, counting each triangle six times."""
+    sr = registry_get("plus_times/signed-int-64")
+    pat = apply_unary(a, UnaryOp("const_one", a.domain, INT64, lambda _v: 1))
+    corners = ewise_mult(pat, mxm(pat, pat, sr), sr.mul)
+    total = sum(v for _i, v in vector_entries(reduce(corners, sr.add, "rows")))
+    assert total % 6 == 0
+    return total // 6
+
+
+@st.composite
+def _simple_graphs(draw):
+    """Simple undirected graphs of up to 24 vertices: a random edge set, or
+    a clique on some of the vertices with the rest isolated."""
+    n = draw(st.integers(0, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return n, []
+    if draw(st.booleans()):
+        members = draw(st.sets(st.integers(0, n - 1)))
+        return n, [(u, v) for u, v in pairs if u in members and v in members]
+    return n, sorted(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+
+
+@settings(max_examples=100)
+@given(_simple_graphs(), st.data())
+def test_triangle_count_matches_the_oracle_and_the_full_square(graph, data):
+    n, edges = graph
+    want = oracle_triangles(n, edges)
+    cells = sorted(set(edges) | {(v, u) for u, v in edges})
+    for domain, values in sorted(_ADJACENCY_VALUES.items(), key=lambda kv: kv[0].kind):
+        triples = tuple(Triple(u, v, data.draw(values)) for u, v in cells)
+        for orientation in (ROW, COL):
+            a = to_compressed(CooMatrix(n, n, triples, domain), orientation)
+            assert triangle_count(a) == want
+            assert _reference_triangles(a) == want
+
+
+@given(coo_matrices(square=True, values=st.just(1)), st.sampled_from((ROW, COL)))
+def test_lower_keeps_exactly_the_entries_below_the_diagonal(coo, orientation):
+    pat = to_compressed(coo, orientation)
+    low = algorithms._lower(pat)
+    assert check_invariants(low)
+    assert low.orientation == orientation
+    assert low.domain == INT64
+    assert list(entries_of(low)) == [(r, c, 1) for r, c, _v in coo.triples if r > c]
 
 
 def test_clustering_triangle_is_fully_clustered():

@@ -105,6 +105,19 @@ def test_ab_pairs_quartiles():
         ab.compare([1.0], [])
 
 
+def test_ab_pairs_takes_the_workload_option_more_than_once():
+    ab = _ab_pairs()
+    args = ab.parse_args(["A", "B", "--workload", "traverse", "--workload", "products",
+                          "--seed", "23"])
+    assert args.workload == ["traverse", "products"]
+    assert (args.base, args.change, args.seed, args.pairs, args.counters) == (
+        "A", "B", 23, 10, False)
+    assert ab.parse_args(["A", "B", "--workload", "ingest", "--seed", "3",
+                          "--counters"]).workload == ["ingest"]
+    with pytest.raises(SystemExit):
+        ab.parse_args(["A", "B", "--seed", "3"])
+
+
 def test_ab_pairs_counter_diff_lists_changed_exact_counters():
     ab = _ab_pairs()
 
