@@ -22,7 +22,7 @@ from .containers import (
     densify_vector,
     entries_of,
     is_symmetric,
-    pattern_complement,
+    nvals,
     reorient,
     to_compressed,
     vector_as_column,
@@ -32,7 +32,7 @@ from .containers import (
 from .domains import BOOLEAN, FLOAT64, INT64
 from .errors import InternalInvariantError, PreconditionError
 from .kernels import apply_unary, ewise_mult, mxm, mxv, reduce, scale_matrix, scale_vector
-from .semirings import BinaryOp, Monoid, UnaryOp, registry_get
+from .semirings import BinaryOp, IndexUnaryOp, Monoid, UnaryOp, registry_get
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,11 @@ def _vec_total(v: SparseVector, m: Monoid):
 
 
 def bfs(a: CompressedMatrix, sources) -> BfsResult:
-    """Multi-source breadth-first search by repeated masked matrix-vector
-    products over the boolean or_and semiring.
+    """Multi-source breadth-first search by repeated matrix-vector products
+    over the boolean or_and semiring.
 
     Level 0 is the source set itself; each step expands the frontier one
-    hop along out-edges and masks off everything already visited.
+    hop along out-edges and drops everything already visited.
     """
     n = _require_square(a, "bfs")
     src = list(sources)
@@ -87,16 +87,14 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     pat = _pattern(a, BOOLEAN, True)
     frontier = vector_from_entries(n, [(i, True) for i in sorted(src)], BOOLEAN)
     levels: dict[int, int] = {i: 0 for i in src}
+    # Visited means holding a level; each apply reads `levels` before that level's updates.
+    unvisited = IndexUnaryOp("unvisited", BOOLEAN, BOOLEAN, lambda _x, i, _j: i not in levels)
     for level in range(1, n + 1):
         if not vector_entries(frontier):
             break
-        # The visited vertices are exactly those with a level.
-        visited_vec = vector_from_entries(
-            n, [(i, True) for i in sorted(levels)], BOOLEAN
-        )
         # w(j) = OR over i of (frontier(i) AND A(i, j)): one hop out.
         nxt = mxv(pat, frontier, sr, transpose_input=True)
-        frontier = scale_vector(nxt, pattern_complement(visited_vec), sr.mul)
+        frontier = apply_unary(nxt, unvisited, drop_zeros_for=False)
         for i, _v in vector_entries(frontier):
             levels[i] = level
     else:
@@ -179,9 +177,9 @@ def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:
     """Semiring and 0/1 pattern of a simple undirected graph: square, with
     no self-loops and a symmetric pattern (checked in that order)."""
     _require_square(a, name)
-    for r, c, _v in entries_of(a):
-        if r == c:
-            raise PreconditionError(f"{name}: graph must have no self-loops")
+    diagonal = IndexUnaryOp("diagonal", a.domain, BOOLEAN, lambda _x, i, j: i == j)
+    if nvals(apply_unary(a, diagonal, drop_zeros_for=False)):
+        raise PreconditionError(f"{name}: graph must have no self-loops")
     sr = registry_get("plus_times/signed-int-64")
     pat = _pattern(a, INT64, 1)
     if not is_symmetric(pat):
@@ -191,12 +189,8 @@ def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:
 
 def _lower(pat: CompressedMatrix) -> CompressedMatrix:
     """Strictly lower triangle (row > column) of a 0/1 INT64 pattern."""
-    ids = vector_from_entries(pat.nrows, [(i, i) for i in range(pat.nrows)], INT64)
-    row_of = BinaryOp("row_of", INT64, lambda _x, i: i)
-    below = BinaryOp("below_diagonal", INT64, lambda i, j: int(i > j))
-    keep = UnaryOp("identity", INT64, INT64, lambda x: x)
-    tagged = scale_matrix(scale_matrix(pat, ids, row_of, "rows"), ids, below, "cols")
-    return apply_unary(tagged, keep, drop_zeros_for=0)
+    below = IndexUnaryOp("strictly_lower", INT64, INT64, lambda x, i, j: x if i > j else 0)
+    return apply_unary(pat, below, drop_zeros_for=0)
 
 
 def triangle_count(a: CompressedMatrix) -> int:

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, and_, eq, itemgetter, lt, mul, not_, sub
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .domains import BOOLEAN, ValueDomain
+from .domains import ValueDomain
 from .errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -338,13 +338,6 @@ def vector_entries(v: SparseVector) -> tuple[tuple[int, Any], ...]:
 
 # ---------------------------------------------------------------------------
 # Vector reshaping helpers
-
-
-def pattern_complement(v: SparseVector) -> SparseVector:
-    """Boolean vector that is True exactly where `v` stores nothing."""
-    stored = {i for i, _ in v.entries}
-    ents = tuple((i, True) for i in range(v.length) if i not in stored)
-    return SparseVector(v.length, ents, BOOLEAN)
 
 
 def densify_vector(v: SparseVector, fill) -> SparseVector:

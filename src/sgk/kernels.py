@@ -28,7 +28,7 @@ from .containers import (
     reorient,
 )
 from .errors import DimensionMismatchError, DomainMismatchError
-from .semirings import BinaryOp, Monoid, Semiring, UnaryOp
+from .semirings import BinaryOp, IndexUnaryOp, Monoid, Semiring, UnaryOp
 
 _AXES = ("rows", "cols")
 _MISSING = object()
@@ -92,6 +92,14 @@ def _map(pairs: Iterable[tuple[int, Any]], fn: Callable,
     """(j, fn(x)) for each (j, x) in `pairs`, leaving out results equal to
     `drop` when it is given."""
     return [(j, y) for j, x in pairs for y in (fn(x),) if drop is None or not y == drop]
+
+
+def _map_at(pairs: Iterable[tuple[int, Any]], fn: Callable, i: int, row_major: bool,
+            drop=None) -> list[tuple[int, Any]]:
+    """_map for fn(x, row, col) over major slot i, where (row, col) is (i, j)
+    when `row_major` and (j, i) otherwise."""
+    got = [(j, fn(x, i, j) if row_major else fn(x, j, i)) for j, x in pairs]
+    return got if drop is None else [(j, y) for j, y in got if not y == drop]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +310,9 @@ def scale_vector(v: SparseVector, w: SparseVector, op: BinaryOp) -> SparseVector
 # Unary application
 
 
-def apply_unary(a, f: UnaryOp, drop_zeros_for=None):
-    """Apply f to every stored value of a matrix or vector.
+def apply_unary(a, f: UnaryOp | IndexUnaryOp, drop_zeros_for=None):
+    """Apply f to every stored value of a matrix or vector; an IndexUnaryOp
+    also gets each entry's row and column (i and 0 for vector entry i).
 
     The pattern is unchanged, except that entries whose new value equals
     `drop_zeros_for` (a monoid identity supplied by the caller) are dropped
@@ -314,10 +323,13 @@ def apply_unary(a, f: UnaryOp, drop_zeros_for=None):
     _require_domain(f.input_domain, a)
     if drop_zeros_for is not None:
         f.output_domain.check_value(drop_zeros_for)
+    indexed = isinstance(f, IndexUnaryOp)
     if isinstance(a, SparseVector):
-        ents = _map(a.entries, f.eval, drop_zeros_for)
+        ents = (_map_at(a.entries, f.eval, 0, False, drop_zeros_for) if indexed
+                else _map(a.entries, f.eval, drop_zeros_for))
         return SparseVector(a.length, tuple(ents), f.output_domain)
-    if drop_zeros_for is None:
+    if drop_zeros_for is None and not indexed:
         return replace(a, values=tuple(f.eval(v) for v in a.values), domain=f.output_domain)
-    out = [_map(_slice(a, i), f.eval, drop_zeros_for) for i in range(_major_dim(a))]
+    out = [_map_at(_slice(a, i), f.eval, i, a.orientation == ROW, drop_zeros_for) if indexed
+           else _map(_slice(a, i), f.eval, drop_zeros_for) for i in range(_major_dim(a))]
     return _from_slices(a.nrows, a.ncols, out, f.output_domain, a.orientation, a.orientation)

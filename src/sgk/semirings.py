@@ -63,6 +63,17 @@ class UnaryOp:
 
 
 @dataclass(frozen=True)
+class IndexUnaryOp:
+    """A unary op that also receives the entry's row and column, eval(x, i, j),
+    with j = 0 for a vector entry i (the GraphBLAS GrB_IndexUnaryOp)."""
+
+    name: str
+    input_domain: ValueDomain
+    output_domain: ValueDomain
+    eval: Callable[[Any, int, int], Any] = field(repr=False)
+
+
+@dataclass(frozen=True)
 class Monoid:
     """A commutative, associative binary operation with an identity element."""
 

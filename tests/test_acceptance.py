@@ -76,7 +76,13 @@ from sgk.oracle import (
     to_dense,
     vector_to_dense,
 )
-from sgk.semirings import CANONICAL_NAMES, UnaryOp, law_sample_pool, registry_get
+from sgk.semirings import (
+    CANONICAL_NAMES,
+    IndexUnaryOp,
+    UnaryOp,
+    law_sample_pool,
+    registry_get,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +432,7 @@ def test_criterion_09_purity_immutability():
     f = random_vector(6, 0.6, FLOAT64, sample, rng)
     block = random_csr(2, 2, 0.8, FLOAT64, sample, rng)
     neg = UnaryOp("negate", FLOAT64, FLOAT64, lambda x: -x)
+    shift = IndexUnaryOp("shift_by_position", FLOAT64, FLOAT64, lambda x, i, j: x + i - j)
 
     before = (snapshot(a), snapshot(b), snapshot(v), snapshot(f), snapshot(block))
     mxm(a, b, s)
@@ -441,6 +448,8 @@ def test_criterion_09_purity_immutability():
     scale_vector(v, f, s.mul)
     apply_unary(a, neg)
     apply_unary(v, neg, drop_zeros_for=0.0)
+    apply_unary(a, shift)
+    apply_unary(v, shift, drop_zeros_for=0.0)
     assert (snapshot(a), snapshot(b), snapshot(v), snapshot(f),
             snapshot(block)) == before
 

@@ -48,7 +48,7 @@ from sgk.errors import (
     IndexRangeError,
     PreconditionError,
 )
-from sgk.kernels import apply_unary, ewise_mult, mxm, mxv, reduce, subref
+from sgk.kernels import apply_unary, ewise_mult, mxm, mxv, reduce, scale_vector, subref
 from sgk.oracle import (
     oracle_bfs,
     oracle_clustering,
@@ -356,6 +356,71 @@ def test_components_orient_the_pattern_once(orientation, reorients):
     assert vector_entries(got) == vector_entries(connected_components(ring))
     assert vector_as_dict(got) == {i: 0 for i in range(n)}
     assert len(changed) == reorients
+
+
+def _pattern_complement(v):
+    """Boolean vector that is True exactly where `v` stores nothing."""
+    stored = dict(vector_entries(v))
+    return vector_from_entries(
+        v.length, [(i, True) for i in range(v.length) if i not in stored], BOOLEAN)
+
+
+def _reference_bfs(a, sources):
+    """Reference: the previous `bfs`, which rebuilt the visited set as a
+    vector every level and masked each product with its pattern complement.
+    Returns the result and the number of products formed."""
+    n = a.nrows
+    sr = registry_get("or_and")
+    pat = apply_unary(a, UnaryOp("const_one", a.domain, BOOLEAN, lambda _v: True))
+    frontier = vector_from_entries(n, [(i, True) for i in sorted(sources)], BOOLEAN)
+    levels = {i: 0 for i in sources}
+    products = 0
+    for level in range(1, n + 1):
+        if not vector_entries(frontier):
+            break
+        visited_vec = vector_from_entries(n, [(i, True) for i in sorted(levels)], BOOLEAN)
+        nxt = mxv(pat, frontier, sr, transpose_input=True)
+        products += 1
+        frontier = scale_vector(nxt, _pattern_complement(visited_vec), sr.mul)
+        for i, _v in vector_entries(frontier):
+            levels[i] = level
+    lv = vector_from_entries(n, [(i, levels[i]) for i in sorted(levels)], INT64)
+    return BfsResult(levels=lv, reached_count=len(levels)), products
+
+
+@st.composite
+def _bfs_cases(draw):
+    """Directed graphs of up to 12 vertices with arbitrary stored values, in
+    either orientation, and one or more distinct sources; sparse edge sets
+    leave some vertices unreachable."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    cells = sorted(draw(st.sets(st.tuples(vertex, vertex), max_size=2 * n)))
+    domain = draw(st.sampled_from(sorted(_ADJACENCY_VALUES, key=lambda d: d.kind)))
+    triples = tuple(Triple(u, v, draw(_ADJACENCY_VALUES[domain])) for u, v in cells)
+    a = to_compressed(CooMatrix(n, n, triples, domain), draw(st.sampled_from((ROW, COL))))
+    sources = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    return a, sources, [[v for u, v in cells if u == w] for w in range(n)]
+
+
+@settings(max_examples=200)
+@given(_bfs_cases())
+def test_bfs_matches_the_complement_masked_reference(case):
+    a, sources, adjacency = case
+    products = []
+
+    def counted_mxv(*args, **kwargs):
+        products.append(args)
+        return mxv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxv", counted_mxv)
+        got = bfs(a, sources)
+    want, rounds = _reference_bfs(a, sources)
+    assert vector_entries(got.levels) == vector_entries(want.levels)
+    assert got.reached_count == want.reached_count
+    assert len(products) == rounds
+    assert vector_as_dict(got.levels) == oracle_bfs(adjacency, sources)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from sgk.containers import (
     entries_of,
     is_symmetric,
     nvals,
-    pattern_complement,
     reorient,
     to_compressed,
     to_tuples,
@@ -28,7 +27,7 @@ from sgk.containers import (
     vector_entries,
     vector_from_entries,
 )
-from sgk.domains import BOOLEAN, FLOAT64, INT64
+from sgk.domains import FLOAT64, INT64
 from sgk.errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -316,12 +315,6 @@ def test_check_invariants_accepts_valid_and_flags_bad_values():
 
 # ---------------------------------------------------------------------------
 # Vector helpers
-
-
-def test_pattern_complement():
-    v = SparseVector(4, ((1, True), (3, True)), BOOLEAN)
-    c = pattern_complement(v)
-    assert vector_entries(c) == ((0, True), (2, True))
 
 
 def test_densify_vector():

@@ -9,10 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import sgk
 from sgk.semirings import CANONICAL_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,14 @@ def test_demo_script_runs():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_export_list_is_sorted_unique_and_complete():
+    public = {name for name, value in vars(sgk).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sgk.__all__ == sorted(sgk.__all__)
+    assert len(sgk.__all__) == len(set(sgk.__all__))
+    assert set(sgk.__all__) == public
 
 
 def test_readme_semiring_table_matches_the_registry():

@@ -24,6 +24,7 @@ from sgk.containers import (
     check_invariants,
     entries_of,
     nvals,
+    reorient,
     to_compressed,
     to_tuples,
     vector_entries,
@@ -47,7 +48,7 @@ from sgk.kernels import (
     subref,
 )
 from sgk.oracle import dense_mxm, dense_mxv, to_dense
-from sgk.semirings import BinaryOp, UnaryOp, plus_monoid, registry_get
+from sgk.semirings import BinaryOp, IndexUnaryOp, UnaryOp, plus_monoid, registry_get
 
 
 def pattern_matrix(n, edges, domain=BOOLEAN, one=True):
@@ -567,6 +568,9 @@ def test_reduce_rows_matches_python_sum(n, data):
 _VALUES = st.sampled_from([-1.0, 0.1, 0.2, 0.3, 0.7, 1.0, 3.0])
 _MINUS = BinaryOp("minus", FLOAT64, lambda x, y: x - y)
 _FLOOR = UnaryOp("floor", FLOAT64, FLOAT64, lambda x: float(math.floor(x)))
+# Reads the value and both indices, unequally, so a swapped (row, col) shows;
+# it gives 0.0 often enough that dropping matters.
+_AT = IndexUnaryOp("floor_at", FLOAT64, FLOAT64, lambda x, i, j: float(math.floor(x) + i - 2 * j))
 
 
 def _cells(nrows, ncols):
@@ -629,6 +633,12 @@ def test_slice_kernels_match_dict_evaluation_in_both_orientations(data):
     check(apply_unary(a, _FLOOR), {p: math.floor(x) for p, x in ca.items()})
     check(apply_unary(a, _FLOOR, drop_zeros_for=0.0),
           {p: math.floor(x) for p, x in ca.items() if math.floor(x) != 0})
+    at = {(r, c): math.floor(x) + r - 2 * c for (r, c), x in ca.items()}
+    for orientation in (ROW, COL):
+        oriented = reorient(a, orientation)
+        check(apply_unary(oriented, _AT), at, orientation)
+        check(apply_unary(oriented, _AT, drop_zeros_for=0.0),
+              {p: y for p, y in at.items() if y != 0}, orientation)
     check(subref(a, rows, cols),
           {(p, q): ca[(r, c)] for p, r in enumerate(rows) for q, c in enumerate(cols)
            if (r, c) in ca})
@@ -645,3 +655,7 @@ def test_slice_kernels_match_dict_evaluation_in_both_orientations(data):
         (i, math.floor(x)) for i, x in sorted(dv.items()))
     assert apply_unary(v, _FLOOR, drop_zeros_for=0.0).entries == tuple(
         (i, math.floor(x)) for i, x in sorted(dv.items()) if math.floor(x) != 0)
+    assert apply_unary(v, _AT).entries == tuple(
+        (i, math.floor(x) + i) for i, x in sorted(dv.items()))
+    assert apply_unary(v, _AT, drop_zeros_for=0.0).entries == tuple(
+        (i, math.floor(x) + i) for i, x in sorted(dv.items()) if math.floor(x) + i != 0)
