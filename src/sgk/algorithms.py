@@ -18,13 +18,11 @@ from .containers import (
     CompressedMatrix,
     SparseVector,
     _check_index_list,
-    build_from_triples,
     densify_vector,
     entries_of,
     is_symmetric,
     nvals,
     reorient,
-    to_compressed,
     vector_as_column,
     vector_entries,
     vector_from_entries,
@@ -32,7 +30,7 @@ from .containers import (
 from .domains import BOOLEAN, FLOAT64, INT64
 from .errors import InternalInvariantError, PreconditionError
 from .kernels import apply_unary, ewise_mult, mxm, mxv, reduce, scale_matrix, scale_vector
-from .semirings import BinaryOp, IndexUnaryOp, Monoid, UnaryOp, registry_get
+from .semirings import BinaryOp, IndexUnaryOp, Monoid, UnaryOp, max_monoid, registry_get
 
 
 @dataclass(frozen=True)
@@ -106,14 +104,28 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     return BfsResult(levels=lv, reached_count=len(levels))
 
 
+def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what: str):
+    """Bellman-Ford relaxation x <- x (+) m'x to a fixed point, m' being m or
+    its transpose: each round's product is densified with the add identity
+    and folded into the dense x by the add, so x keeps its own value."""
+    for _ in range(x.length + 1):
+        pulled = densify_vector(mxv(m, x, sr, transpose_input=transpose_input), sr.zero)
+        nxt = scale_vector(x, pulled, sr.add.op)
+        if vector_entries(nxt) == vector_entries(x):
+            return x
+        x = nxt
+    raise InternalInvariantError(what)
+
+
 def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
-    """Single-source shortest paths by Bellman-Ford style relaxation over
-    the min_plus semiring.
+    """Single-source shortest paths by Bellman-Ford relaxation over the
+    min_plus semiring.
 
     Edge weights must be non-negative (and finite for float domains).  The
-    distance vector is iterated to a fixed point; zero-weight self-loops
-    added to the adjacency make each product keep the best distance found
-    so far, so the vector only improves.
+    distances start at the min identity everywhere but the source, and each
+    round keeps the smaller of a vertex's distance and those pulled along
+    its in-edges.  A reachable vertex whose shortest distance reaches the
+    identity (the domain's infinity) cannot be represented and is refused.
     """
     n = _require_square(a, "sssp_minplus")
     d = a.domain
@@ -130,27 +142,29 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
             raise PreconditionError(f"sssp_minplus: negative edge weight {w!r}")
     sr = registry_get(f"min_plus/{d.kind}")
     zero_w = 0.0 if d.is_float else 0
-    loops = [(i, i, zero_w) for i in range(n)]
-    # Column-major once, so the transposed products below never reorient.
-    aug = to_compressed(build_from_triples(n, n, list(entries) + loops, sr.add), COL)
-    dist = vector_from_entries(n, [(source, zero_w)], d)
-    for _ in range(n):
-        nxt = mxv(aug, dist, sr, transpose_input=True)
-        if vector_entries(nxt) == vector_entries(dist):
-            return dist
-        dist = nxt
-    raise InternalInvariantError(
-        "sssp_minplus: distances failed to stabilize in n iterations"
-    )
+    start = densify_vector(vector_from_entries(n, [(source, zero_w)], d), sr.zero)
+    # Column-major once, so the transposed products never reorient.
+    reached = _relax(reorient(a, COL), start, sr, True,
+                     "sssp_minplus: distances failed to stabilize in n iterations")
+    dist = apply_unary(reached, UnaryOp("identity", d, d, lambda x: x), drop_zeros_for=sr.zero)
+    # Tropical + is monotone, so a sum reaches the identity only if the largest
+    # distance plus the heaviest weight does; then an edge from a reached
+    # vertex to an unreached one is a path whose distance overflowed.
+    heaviest = max((w for _r, _c, w in entries), default=zero_w)
+    if sr.mul(_vec_total(dist, max_monoid(d)), heaviest) == sr.zero:
+        heads = reduce(scale_matrix(a, dist, sr.mul, "rows"), sr.add, "cols")
+        if nvals(scale_vector(heads, dist, sr.add.op)) < nvals(heads):
+            raise PreconditionError(f"sssp_minplus: a shortest distance overflows {d.kind}")
+    return dist
 
 
 def connected_components(a: CompressedMatrix) -> SparseVector:
     """Label each vertex of an undirected graph with the smallest vertex
     index in its component.
 
-    Labels spread along edges with min_select2nd: each round takes the
-    minimum label among a vertex's neighbors (the identity where it has
-    none) and keeps the smaller of that and the vertex's own label.
+    Labels spread along edges with min_select2nd through `_relax`: each
+    round takes the minimum label among a vertex's neighbors (the identity
+    where it has none) and keeps the smaller of that and its own label.
     """
     n = _require_square(a, "connected_components")
     sr = registry_get("min_select2nd")
@@ -159,18 +173,10 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
         raise PreconditionError(
             "connected_components: adjacency pattern is not symmetric"
         )
-    # Row-major once, so the products below never reorient.
-    pat = reorient(pat, ROW)
     labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
-    for _ in range(n + 1):
-        nbr = densify_vector(mxv(pat, labels, sr, transpose_input=False), sr.zero)
-        nxt = scale_vector(labels, nbr, sr.add.op)
-        if vector_entries(nxt) == vector_entries(labels):
-            return labels
-        labels = nxt
-    raise InternalInvariantError(
-        "connected_components: labels failed to stabilize"
-    )
+    # Row-major once, so the products never reorient.
+    return _relax(reorient(pat, ROW), labels, sr, False,
+                  "connected_components: labels failed to stabilize")
 
 
 def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:

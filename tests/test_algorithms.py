@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,13 +43,15 @@ from sgk.containers import (
     vector_entries,
     vector_from_entries,
 )
-from sgk.domains import BOOLEAN, FLOAT64, INT64
+from sgk.domains import BOOLEAN, FLOAT32, FLOAT64, INT8, INT64, UINT8
 from sgk.errors import (
     DuplicateIndexError,
     IndexRangeError,
     PreconditionError,
 )
-from sgk.kernels import apply_unary, ewise_mult, mxm, mxv, reduce, scale_vector, subref
+from sgk.kernels import (
+    apply_unary, ewise_mult, mxm, mxv, reduce, scale_matrix, scale_vector, subref,
+)
 from sgk.oracle import (
     oracle_bfs,
     oracle_clustering,
@@ -219,6 +222,112 @@ def test_sssp_matches_dijkstra_oracle():
         assert got == oracle_sssp(adj, 0)
 
 
+@pytest.mark.parametrize("edges, checked, want", [
+    ([(0, 1, 50), (1, 2, 20)], False, ((0, 0), (1, 50), (2, 70))),
+    ([(0, 1, 100), (1, 2, 100)], True, None),
+    ([(0, 1, 100), (1, 2, 27)], True, None),
+    ([(0, 1, 100), (1, 2, 100), (0, 3, 1), (3, 2, 1)], True,
+     ((0, 0), (1, 100), (2, 2), (3, 1))),
+    # 120 + 127 saturates, but the 127 edge leaves unreached vertex 3.
+    ([(0, 1, 100), (1, 2, 20), (3, 0, 127)], True, ((0, 0), (1, 100), (2, 120))),
+])
+def test_sssp_refuses_a_distance_that_overflows(edges, checked, want):
+    a = weighted(4, edges, INT8)
+    checks = []
+
+    def counted_scale_matrix(*args):
+        checks.append(args)
+        return scale_matrix(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "scale_matrix", counted_scale_matrix)
+        if want is None:
+            with pytest.raises(PreconditionError, match="^sssp_minplus: a shortest distance "
+                                                         "overflows signed-int-8$"):
+                sssp_minplus(a, 0)
+        else:
+            assert vector_entries(sssp_minplus(a, 0)) == want
+    assert len(checks) == int(checked)
+
+
+def _reference_sssp(a, source):
+    """Reference: the previous `sssp_minplus` relaxation, which appended a
+    zero-weight diagonal to the adjacency so that each product kept a
+    vertex's best distance.  Returns the distances and the number of
+    products formed."""
+    n = a.nrows
+    d = a.domain
+    sr = registry_get(f"min_plus/{d.kind}")
+    zero_w = 0.0 if d.is_float else 0
+    loops = [(i, i, zero_w) for i in range(n)]
+    aug = to_compressed(build_from_triples(n, n, list(entries_of(a)) + loops, sr.add), COL)
+    dist = vector_from_entries(n, [(source, zero_w)], d)
+    for rounds in range(1, n + 1):
+        nxt = mxv(aug, dist, sr, transpose_input=True)
+        if vector_entries(nxt) == vector_entries(dist):
+            return dist, rounds
+        dist = nxt
+    raise AssertionError("reference distances failed to stabilize")
+
+
+_F32_MAX = 3.4028234663852886e38
+_F64_MAX = sys.float_info.max
+# (small weights, weights at and near the bound) per domain; both sets hold
+# zeros, and the float ones zeros of both signs.
+_SSSP_WEIGHTS = {
+    FLOAT64: (st.floats(0.0, 10.0), st.sampled_from([-0.0, 1e308, _F64_MAX / 2, _F64_MAX])),
+    FLOAT32: (st.floats(0.0, 10.0, width=32),
+              st.sampled_from([-0.0, 2.0 ** 126, _F32_MAX / 2, _F32_MAX])),
+    INT8: (st.integers(0, 9), st.sampled_from([0, 63, 64, 126, 127])),
+    UINT8: (st.integers(0, 9), st.sampled_from([0, 127, 128, 254, 255])),
+    INT64: (st.integers(0, 9), st.sampled_from([0, 2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1])),
+}
+
+
+@st.composite
+def _sssp_cases(draw):
+    """Weighted digraphs of up to 10 vertices, in either orientation, with a
+    source: a walk from the source plus random edges, so there are long
+    paths, self-loops and unreachable vertices, and about half the weights
+    near the bound, so some path sums saturate."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    source = draw(vertex)
+    walk = [source] + draw(st.lists(vertex, max_size=n))
+    cells = set(zip(walk, walk[1:])) | draw(st.sets(st.tuples(vertex, vertex), max_size=n))
+    domain = draw(st.sampled_from(sorted(_SSSP_WEIGHTS, key=lambda d: d.kind)))
+    small, near_bound = _SSSP_WEIGHTS[domain]
+    triples = tuple(Triple(u, v, draw(near_bound if draw(st.booleans()) else small))
+                    for u, v in sorted(cells))
+    a = to_compressed(CooMatrix(n, n, triples, domain), draw(st.sampled_from((ROW, COL))))
+    return a, source, [[v for u, v in sorted(cells) if u == w] for w in range(n)]
+
+
+@settings(max_examples=200)
+@given(_sssp_cases())
+def test_sssp_matches_the_augmented_reference(case):
+    a, source, adjacency = case
+    want, rounds = _reference_sssp(a, source)
+    products = []
+
+    def counted_mxv(*args, **kwargs):
+        products.append(args)
+        return mxv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxv", counted_mxv)
+        if set(vector_as_dict(want)) == set(oracle_bfs(adjacency, [source])):
+            got = sssp_minplus(a, source)
+            assert got.domain == want.domain
+            assert ([(i, repr(x)) for i, x in vector_entries(got)]
+                    == [(i, repr(x)) for i, x in vector_entries(want)])
+        else:
+            # The reference dropped a reachable vertex whose distance saturated.
+            with pytest.raises(PreconditionError, match=f"overflows {a.domain.kind}$"):
+                sssp_minplus(a, source)
+    assert len(products) == rounds
+
+
 # ---------------------------------------------------------------------------
 # connected_components
 
@@ -333,8 +442,19 @@ def test_components_refuse_an_asymmetric_pattern_like_the_reference(case, data):
         _reference_components(lopsided)
 
 
-@pytest.mark.parametrize("orientation, reorients", [(ROW, 0), (COL, 1)])
-def test_components_orient_the_pattern_once(orientation, reorients):
+# Each relaxation, and its result on the undirected ring of n vertices.
+_RELAXATIONS = {
+    "connected_components": (connected_components, lambda n: {i: 0 for i in range(n)}),
+    "sssp_minplus": (lambda a: sssp_minplus(a, 0), lambda n: {i: min(i, n - i) for i in range(n)}),
+}
+
+
+@pytest.mark.parametrize("name, orientation, reorients", [
+    ("connected_components", ROW, 0), ("connected_components", COL, 1),
+    ("sssp_minplus", ROW, 1), ("sssp_minplus", COL, 0),
+])
+def test_relaxations_orient_their_matrix_once(name, orientation, reorients):
+    algorithm, result_on_ring = _RELAXATIONS[name]
     n = 200
     ring = undirected(n, [(i, (i + 1) % n) for i in range(n)])
     a = reorient(ring, orientation)
@@ -352,9 +472,9 @@ def test_components_orient_the_pattern_once(orientation, reorients):
     with pytest.MonkeyPatch.context() as mp:
         for module in (algorithms, kernels):
             mp.setattr(module, "reorient", counted(module))
-        got = connected_components(a)
-    assert vector_entries(got) == vector_entries(connected_components(ring))
-    assert vector_as_dict(got) == {i: 0 for i in range(n)}
+        got = algorithm(a)
+    assert vector_entries(got) == vector_entries(algorithm(ring))
+    assert vector_as_dict(got) == result_on_ring(n)
     assert len(changed) == reorients
 
 
@@ -683,6 +803,9 @@ def test_algorithms_import_only_primitive_layers():
     assert not any(m.startswith("sgk.oracle") for m in modules)
     assert not any(m.startswith("sgk.io_formats") for m in modules)
     assert not any(m.startswith("sgk.cli") for m in modules)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert not names & {"build_from_triples", "to_compressed", "CooMatrix", "Triple"}
 
 
 def test_algorithms_leave_inputs_untouched():

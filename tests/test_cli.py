@@ -450,6 +450,27 @@ def test_sssp_negative_weight_is_exit_3(capsys, tmp_path):
     assert run(["sssp", "--source", "0", str(p)]) == 3
 
 
+@pytest.mark.parametrize("name, text, kind", [
+    ("far.tsv", "0\t1\t1e308\n1\t2\t1e308\n", "float-double"),
+    ("far.mtx", "%%MatrixMarket matrix coordinate integer general\n3 3 2\n"
+                "1 2 4611686018427387904\n2 3 4611686018427387904\n", "signed-int-64"),
+])
+def test_sssp_distance_overflow_is_exit_3(capsys, tmp_path, name, text, kind):
+    p = tmp_path / name
+    p.write_text(text)
+    code, payload, err = run_json(capsys, ["sssp", "--source", "0", str(p)])
+    assert code == 3 and payload is None
+    assert err == f"error: sssp_minplus: a shortest distance overflows {kind}\n"
+
+
+def test_sssp_cheaper_path_past_an_overflowing_one(capsys, tmp_path):
+    p = tmp_path / "detour.tsv"
+    p.write_text("0\t1\t1e308\n1\t2\t1e308\n0\t3\t1\n3\t2\t1\n")
+    code, payload, err = run_json(capsys, ["sssp", "--source", "0", str(p)])
+    assert code == 0 and err == ""
+    assert payload["result"] == {"distances": [[0, 0.0], [1, 1e308], [2, 2.0], [3, 1.0]]}
+
+
 def test_cc_on_directed_graph_is_exit_3(capsys, tmp_path):
     p = tmp_path / "arrow.tsv"
     p.write_text("0 1\n")
