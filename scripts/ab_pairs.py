@@ -26,6 +26,11 @@ range is wider than bound times its median and some CHANGE run does not
 beat every BASE run, `ok` otherwise.  Exits 1 when any run fails or reports
 an incorrect output on any workload.
 
+`setup_s` and `pass_s` are wall times rescaled by a host-speed probe (see
+perfbench/hostspeed.py).  Each run also prints the raw wall times behind
+them on its info lines; their medians are printed beside the rescaled ones,
+so that a swing the probe alone causes can be told from a real one.
+
     python3 scripts/ab_pairs.py BASE CHANGE --workload iterate --seed 3 --counters
 
 With --counters, each side instead makes one `--trace 1` run of
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -48,6 +54,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COUNTER_SECONDS = 2.0
+# The info line of a run that holds the raw wall time behind each rescaled metric.
+RAW_WALLS = {"setup_s": re.compile(r"^# setup wall time ([0-9.]+) s"),
+             "pass_s": re.compile(r"^# pass wall time median ([0-9.]+) s")}
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -104,6 +113,18 @@ def counter_diff(base: dict, change: dict) -> list[tuple[str, float, float]]:
     return out
 
 
+def raw_walls(lines: list[str]) -> dict[str, float]:
+    """The raw wall time of each metric in `RAW_WALLS` that a run's output
+    `lines` report on an info line."""
+    found = {}
+    for line in lines:
+        for m, pattern in RAW_WALLS.items():
+            hit = pattern.match(line)
+            if hit:
+                found[m] = float(hit.group(1))
+    return found
+
+
 def extract(rev: str, dest: str) -> None:
     """Write the tree of `rev` into `dest` (git archive piped into tar)."""
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
@@ -122,7 +143,8 @@ def declared(tree: str) -> tuple[float, dict[str, float]]:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """The JSON result of one benchmark run in `tree`."""
+    """The JSON result of one benchmark run in `tree`, with the raw wall
+    times of its info lines under "raw_walls"."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -131,7 +153,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"error: benchmark run in {tree} exited {proc.returncode}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "raw_walls": raw_walls(lines[:-1])}
 
 
 def compare_counters(trees: dict, workload: str, args) -> bool:
@@ -152,6 +174,15 @@ def compare_counters(trees: dict, workload: str, args) -> bool:
     return ok
 
 
+def raw_medians(base: list[float], change: list[float], pairs: int) -> str:
+    """"  raw wall: base X change Y", the medians of a raw wall time on each
+    side, or "" when some of the `pairs` runs of a side did not report it."""
+    if len(base) != pairs or len(change) != pairs:
+        return ""
+    return (f"  raw wall: base {statistics.median(base):.4f} "
+            f"change {statistics.median(change):.4f}")
+
+
 def compare_pairs(trees: dict, workload: str, args, seconds: float,
                   bounds: dict[str, float]) -> bool:
     """Run and report `args.pairs` alternating pairs of one workload; False
@@ -164,6 +195,7 @@ def compare_pairs(trees: dict, workload: str, args, seconds: float,
             result = run_once(trees[side], workload, args.seed, seconds)
             ok = ok and result["correct"] and result["failed"] == 0
             values = {m: result["metrics"][m]["value"] for m in bounds}
+            values.update((f"{m} raw wall", v) for m, v in result["raw_walls"].items())
             for m, v in values.items():
                 runs[side].setdefault(m, []).append(v)
             print(f"pair {k} {side}: correct {result['correct']}, failed "
@@ -178,7 +210,9 @@ def compare_pairs(trees: dict, workload: str, args, seconds: float,
               f"change {c['change'][1]:.4f} [{c['change'][0]:.4f}, {c['change'][2]:.4f}]  "
               f"change wins {c['change_wins']}, base wins {c['base_wins']}, ties {c['ties']}  "
               f"gain {'yes' if c['gain'] else 'no'}  "
-              f"{verdict(runs['base'][m], runs['change'][m], bound)} (bound {bound:g})")
+              f"{verdict(runs['base'][m], runs['change'][m], bound)} (bound {bound:g})"
+              + raw_medians(runs["base"].get(f"{m} raw wall", []),
+                            runs["change"].get(f"{m} raw wall", []), args.pairs))
     print(json.dumps(runs), flush=True)
     return ok
 

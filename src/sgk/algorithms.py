@@ -215,24 +215,26 @@ def triangle_count(a: CompressedMatrix) -> int:
 def clustering_coefficients(a: CompressedMatrix) -> SparseVector:
     """Local clustering coefficient per vertex: closed wedges over wedges.
 
-    c(i) = 2 t(i) / (d(i) (d(i) - 1)) where t(i) is the number of triangles
+    c(i) = t(i) / (d(i) (d(i) - 1) / 2) where t(i) is the number of triangles
     through i and d(i) its degree.  Vertices with degree below 2 have no
     wedges and get no entry, and neither do vertices with wedges but no
     triangle; an absent entry reads as a zero coefficient.
     """
     sr, pat = _simple_pattern(a, "clustering_coefficients")
-    # Row sums of the square masked to the pattern give 2 t(i); d(i)(d(i)-1)
-    # counts ordered wedges, so the ratio is the coefficient with no halving.
-    tri2 = reduce(ewise_mult(pat, mxm(pat, pat, sr), sr.mul), sr.add, "rows")
+    # With L the strictly lower triangle, (A.L)(i, k) masked to A counts the
+    # j > k adjacent to both i and k, so row i sums each triangle through i
+    # once.  t / (d (d - 1) / 2) halves both operands of 2 t / (d (d - 1)),
+    # which leaves each correctly rounded float quotient unchanged.
+    tri = reduce(ewise_mult(pat, mxm(pat, _lower(pat), sr), sr.mul), sr.add, "rows")
     deg = reduce(pat, sr.add, "rows")
-    wedges2 = apply_unary(
+    wedges = apply_unary(
         deg,
-        UnaryOp("ordered_wedges", INT64, INT64, lambda d: d * (d - 1)),
+        UnaryOp("wedges", INT64, INT64, lambda d: d * (d - 1) // 2),
         drop_zeros_for=0,
     )
     to_f = UnaryOp("to_float", INT64, FLOAT64, float)
     ratio = BinaryOp("divide", FLOAT64, lambda x, y: x / y)
-    return scale_vector(apply_unary(tri2, to_f), apply_unary(wedges2, to_f), ratio)
+    return scale_vector(apply_unary(tri, to_f), apply_unary(wedges, to_f), ratio)
 
 
 def pagerank(a: CompressedMatrix, alpha: float = 0.85, max_iters: int = 100,

@@ -11,6 +11,11 @@ Floating-point accumulation order is fixed: within each output slot,
 contributions fold from the additive identity in ascending minor-index
 order.  That makes results reproducible and directly comparable against a
 dense reference evaluation.
+
+Integer folds whose every op wraps (plus_times over a fixed-width integer
+domain, or a plus reduce) run on the ops' unbounded `raw` operators and wrap
+each output slot once.  Two's-complement wrap is a ring homomorphism from
+the integers onto Z/2^w, so the result equals wrapping after every step.
 """
 
 from __future__ import annotations
@@ -81,6 +86,17 @@ def _from_slices(nrows: int, ncols: int,
     return reorient(out, wanted)
 
 
+def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
+    """(add, mul, fit) for a kernel fold.  When `add`, and `mul` when given,
+    wrap into their integer domain, these are the raw operators and `fit`
+    wraps a folded output into the domain once; otherwise they are the
+    ops' `eval` and `fit` is None."""
+    if add.raw is None or (mul is not None and mul.raw is None):
+        return add.eval, mul and mul.eval, None
+    lo, hi, wrap = add.domain.min_value, add.domain.max_value, add.domain.wrap
+    return add.raw, mul and mul.raw, lambda v: v if lo <= v <= hi else wrap(v)
+
+
 def _intersect(pairs: Iterable[tuple[int, Any]], lookup: dict,
                fn: Callable) -> list[tuple[int, Any]]:
     """(j, fn(x, lookup[j])) for each (j, x) in `pairs` whose index `lookup` holds."""
@@ -121,8 +137,7 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
     _require_domain(s.domain, a, b)
     ar = reorient(a, ROW)
     br = reorient(b, ROW)
-    add = s.add.op.eval
-    mul = s.mul.eval
+    add, mul, fit = _fold_ops(s.add.op, s.mul)
     zero = s.add.identity
     out_rows = []
     for i in range(ar.nrows):
@@ -130,7 +145,8 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
         for j, x in _slice(ar, i):
             for k, y in _slice(br, j):
                 acc[k] = add(acc.get(k, zero), mul(x, y))
-        out_rows.append(sorted((k, v) for k, v in acc.items() if not v == zero))
+        folded = acc.items() if fit is None else [(k, fit(v)) for k, v in acc.items()]
+        out_rows.append(sorted((k, v) for k, v in folded if not v == zero))
     return _from_slices(a.nrows, b.ncols, out_rows, s.domain, ROW, a.orientation)
 
 
@@ -149,8 +165,7 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
         )
     _require_domain(s.domain, a, v)
     eff = reorient(a, COL if transpose_input else ROW)
-    add = s.add.op.eval
-    mul = s.mul.eval
+    add, mul, fit = _fold_ops(s.add.op, s.mul)
     zero = s.add.identity
     vmap = dict(v.entries)
     entries = []
@@ -164,6 +179,8 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
                 continue
             acc = add(acc, mul(eff.values[p], x))
             hit = True
+        if hit and fit is not None:
+            acc = fit(acc)
         if hit and not acc == zero:
             entries.append((i, acc))
     return SparseVector(out_len, tuple(entries), s.domain)
@@ -197,7 +214,7 @@ def reduce(a: CompressedMatrix, m: Monoid, axis: str) -> SparseVector:
     _require_domain(m.domain, a)
     eff = reorient(a, ROW if axis == "rows" else COL)
     length = a.nrows if axis == "rows" else a.ncols
-    add = m.op.eval
+    add, _mul, fit = _fold_ops(m.op)
     entries = []
     for i in range(_major_dim(eff)):
         lo, hi = eff.offsets[i], eff.offsets[i + 1]
@@ -206,7 +223,7 @@ def reduce(a: CompressedMatrix, m: Monoid, axis: str) -> SparseVector:
         acc = m.identity
         for p in range(lo, hi):
             acc = add(acc, eff.values[p])
-        entries.append((i, acc))
+        entries.append((i, acc if fit is None else fit(acc)))
     return SparseVector(length, tuple(entries), m.domain)
 
 

@@ -39,11 +39,17 @@ from .errors import (
 
 @dataclass(frozen=True)
 class BinaryOp:
-    """A named, deterministic, pure function of two domain values."""
+    """A named, deterministic, pure function of two domain values.
+
+    `raw`, when set, is the same operator on unbounded ints, with
+    `eval(a, b) == domain.wrap(raw(a, b))` (two's complement).  The integer
+    plus and times set it, so a kernel fold may wrap once per output.
+    """
 
     name: str
     domain: ValueDomain
     eval: Callable[[Any, Any], Any] = field(repr=False)
+    raw: Callable[[int, int], int] | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, a, b):
         return self.eval(a, b)
@@ -144,28 +150,29 @@ def _fitted(domain: ValueDomain, op: Callable[[int, int], int],
     return fn
 
 
+def _wrapping(name: str, domain: ValueDomain, op: Callable[[int, int], int]) -> BinaryOp:
+    """`op` over an integer domain, wrapping out-of-range results; the plain
+    `op` is kept as `raw`, so a fold may wrap once at its end instead."""
+    return BinaryOp(name, domain, _fitted(domain, op, domain.wrap), raw=op)
+
+
 def plus_monoid(domain: ValueDomain) -> Monoid:
     """Arithmetic addition; fixed-width integers wrap (two's complement)."""
     if domain.is_integer:
-        fn = _fitted(domain, operator.add, domain.wrap)
-        identity: Any = 0
-    elif domain.is_float or domain.is_complex:
-        fn = _rounded(domain, operator.add)
+        return Monoid(_wrapping("plus", domain, operator.add), 0)
+    if domain.is_float or domain.is_complex:
         identity = 0.0 if domain.is_float else complex(0.0, 0.0)
-    else:
-        raise UnsupportedDomainError(f"plus is not defined over {domain.kind}")
-    return Monoid(BinaryOp("plus", domain, fn), identity)
+        return Monoid(BinaryOp("plus", domain, _rounded(domain, operator.add)), identity)
+    raise UnsupportedDomainError(f"plus is not defined over {domain.kind}")
 
 
 def times_op(domain: ValueDomain) -> BinaryOp:
     """Arithmetic multiplication; fixed-width integers wrap."""
     if domain.is_integer:
-        fn = _fitted(domain, operator.mul, domain.wrap)
-    elif domain.is_float or domain.is_complex:
-        fn = _rounded(domain, operator.mul)
-    else:
-        raise UnsupportedDomainError(f"times is not defined over {domain.kind}")
-    return BinaryOp("times", domain, fn)
+        return _wrapping("times", domain, operator.mul)
+    if domain.is_float or domain.is_complex:
+        return BinaryOp("times", domain, _rounded(domain, operator.mul))
+    raise UnsupportedDomainError(f"times is not defined over {domain.kind}")
 
 
 def _ordered_numeric(domain: ValueDomain) -> None:

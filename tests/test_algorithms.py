@@ -38,6 +38,7 @@ from sgk.containers import (
     check_invariants,
     entries_of,
     is_symmetric,
+    nvals,
     reorient,
     to_compressed,
     vector_entries,
@@ -60,7 +61,7 @@ from sgk.oracle import (
     oracle_sssp,
     oracle_triangles,
 )
-from sgk.semirings import UnaryOp, registry_get
+from sgk.semirings import BinaryOp, IndexUnaryOp, UnaryOp, registry_get
 
 
 def digraph(n, edges, domain=BOOLEAN, one=True):
@@ -677,6 +678,62 @@ def test_clustering_matches_wedge_oracle():
         assert set(got) == set(k for k, v in want.items() if v != 0.0)
         for k, v in got.items():
             assert math.isclose(v, want[k], rel_tol=1e-12)
+
+
+def _reference_clustering(a):
+    """Reference: the previous `clustering_coefficients`, which masked the
+    full square of the pattern to the pattern, so each row summed 2 t(i),
+    and divided that by d(i) (d(i) - 1)."""
+    sr = registry_get("plus_times/signed-int-64")
+    pat = apply_unary(a, UnaryOp("const_one", a.domain, INT64, lambda _v: 1))
+    tri2 = reduce(ewise_mult(pat, mxm(pat, pat, sr), sr.mul), sr.add, "rows")
+    wedges2 = apply_unary(reduce(pat, sr.add, "rows"),
+                          UnaryOp("ordered_wedges", INT64, INT64, lambda d: d * (d - 1)),
+                          drop_zeros_for=0)
+    to_f = UnaryOp("to_float", INT64, FLOAT64, float)
+    ratio = BinaryOp("divide", FLOAT64, lambda x, y: x / y)
+    return scale_vector(apply_unary(tri2, to_f), apply_unary(wedges2, to_f), ratio)
+
+
+@st.composite
+def _clustering_graphs(draw):
+    """A simple graph from `_simple_graphs`, then an isolated vertex, a star
+    whose centre has open wedges only, and a pendant on the star's first
+    leaf; returns the matrix, the vertex count and the added vertices,
+    which must get no coefficient."""
+    n, edges = draw(_simple_graphs())
+    leaves = draw(st.integers(2, 4))
+    centre, pendant = n + 1, n + 2 + leaves
+    star = [(centre, centre + 1 + k) for k in range(leaves)] + [(centre + 1, pendant)]
+    size = pendant + 1
+    cells = sorted({*edges, *star} | {(v, u) for u, v in (*edges, *star)})
+    domain = draw(st.sampled_from(sorted(_ADJACENCY_VALUES, key=lambda d: d.kind)))
+    triples = tuple(Triple(u, v, draw(_ADJACENCY_VALUES[domain])) for u, v in cells)
+    a = to_compressed(CooMatrix(size, size, triples, domain), draw(st.sampled_from((ROW, COL))))
+    return a, size, range(n, size)
+
+
+@settings(max_examples=100)
+@given(_clustering_graphs())
+def test_clustering_matches_the_full_square_reference(case):
+    a, _n, added = case
+    seconds = []
+
+    def recorded_mxm(x, y, s):
+        seconds.append(y)
+        return mxm(x, y, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxm", recorded_mxm)
+        got = clustering_coefficients(a)
+    assert repr(vector_entries(got)) == repr(vector_entries(_reference_clustering(a)))
+    assert not set(added) & set(vector_as_dict(got))
+    # The one product multiplies by the strictly lower triangle of the pattern.
+    (low,) = seconds
+    on_or_above = IndexUnaryOp("on_or_above", INT64, BOOLEAN, lambda _x, i, j: i <= j)
+    assert nvals(apply_unary(low, on_or_above, drop_zeros_for=False)) == 0
+    assert {(t.row, t.col) for t in entries_of(low)} == {
+        (t.row, t.col) for t in entries_of(a) if t.row > t.col}
 
 
 # ---------------------------------------------------------------------------

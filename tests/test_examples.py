@@ -148,3 +148,19 @@ def test_ab_pairs_counter_diff_lists_changed_exact_counters():
         ("algorithms.cc_rounds", None, 3),
     ]
     assert ab.counter_diff(base, base) == []
+
+
+def test_ab_pairs_reads_the_raw_wall_times_of_a_run():
+    ab = _ab_pairs()
+    lines = [
+        "# setup wall time 0.8123 s (import 0.0412 s)",
+        '# provenance {"seed": 3}',
+        "# pass_s median of 31 passes; p90 0.7000 s; pass times [0.61, 0.62]",
+        "# pass wall time median 0.6021 s; reference loop median 4.311 ms over 29 probes",
+    ]
+    assert ab.raw_walls(lines) == {"setup_s": 0.8123, "pass_s": 0.6021}
+    assert ab.raw_walls(lines[1:3]) == {}
+    assert ab.raw_medians([0.5, 0.7, 0.6], [0.4, 0.3, 0.5], 3) == (
+        "  raw wall: base 0.6000 change 0.4000")
+    # A side with a run that printed no raw time shows no medians.
+    assert ab.raw_medians([0.5, 0.7], [0.4, 0.3, 0.5], 3) == ""

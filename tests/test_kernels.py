@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,10 @@ from sgk.containers import (
     to_tuples,
     vector_entries,
 )
-from sgk.domains import BOOLEAN, FLOAT64, INT64, OPAQUE
+from sgk import kernels
+from sgk.domains import (
+    BOOLEAN, FLOAT64, INT8, INT16, INT32, INT64, OPAQUE, UINT8, UINT16, UINT32, UINT64,
+)
 from sgk.errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -48,7 +52,9 @@ from sgk.kernels import (
     subref,
 )
 from sgk.oracle import dense_mxm, dense_mxv, to_dense
-from sgk.semirings import BinaryOp, IndexUnaryOp, UnaryOp, plus_monoid, registry_get
+from sgk.semirings import (
+    BinaryOp, IndexUnaryOp, Monoid, Semiring, UnaryOp, plus_monoid, registry_get,
+)
 
 
 def pattern_matrix(n, edges, domain=BOOLEAN, one=True):
@@ -659,3 +665,105 @@ def test_slice_kernels_match_dict_evaluation_in_both_orientations(data):
         (i, math.floor(x) + i) for i, x in sorted(dv.items()))
     assert apply_unary(v, _AT, drop_zeros_for=0.0).entries == tuple(
         (i, math.floor(x) + i) for i, x in sorted(dv.items()) if math.floor(x) + i != 0)
+
+
+# ---------------------------------------------------------------------------
+# Wrap once per output: plus_times over a fixed-width integer domain folds
+# its raw operators and wraps each output slot once.  The same kernels with
+# the raw operators hidden fold per step; the two must agree entry for entry.
+
+_INTEGERS = (INT8, INT16, INT32, INT64, UINT8, UINT16, UINT32, UINT64)
+
+
+def _per_step(s):
+    """`s` with its ops' raw operators hidden, so every kernel wraps per step."""
+    return Semiring(s.name, Monoid(replace(s.add.op, raw=None), s.zero),
+                    replace(s.mul, raw=None))
+
+
+def _near_bounds(d):
+    """Values whose sums and products overflow `d`, and small ones."""
+    modulus = d.max_value - d.min_value + 1
+    small = {0, 1, 2, 3} | ({-1, -2, -(modulus // 4)} if d.is_signed else set())
+    return st.sampled_from(sorted(small | {d.min_value, d.min_value + 1, d.max_value,
+                                           d.max_value - 1, modulus // 4, modulus // 3}))
+
+
+def _int_matrix(d, nrows, ncols, data):
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), _near_bounds(d),
+        max_size=nrows * ncols))
+    triples = tuple(Triple(r, c, x) for (r, c), x in sorted(cells.items()))
+    return to_compressed(CooMatrix(nrows, ncols, triples, d), data.draw(st.sampled_from([ROW, COL])))
+
+
+def _int_vector(d, length, data):
+    entries = data.draw(st.dictionaries(st.integers(0, length - 1), _near_bounds(d),
+                                        max_size=length))
+    return SparseVector(length, tuple(sorted(entries.items())), d)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_INTEGERS), st.data())
+def test_integer_folds_wrap_once_like_per_step(d, data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = _int_matrix(d, n, k, data), _int_matrix(d, k, m, data)
+    v, w = _int_vector(d, k, data), _int_vector(d, n, data)
+    s = registry_get(f"plus_times/{d.kind}")
+    step = _per_step(s)
+    assert kernels._fold_ops(s.add.op, s.mul)[2] and kernels._fold_ops(s.add.op)[2]
+    assert kernels._fold_ops(step.add.op, step.mul)[2] is None
+
+    got, want = mxm(a, b, s), mxm(a, b, step)
+    assert check_invariants(got)
+    assert got.orientation == want.orientation and entries_of(got) == entries_of(want)
+    assert mxv(a, v, s) == mxv(a, v, step)
+    assert mxv(a, w, s, transpose_input=True) == mxv(a, w, step, transpose_input=True)
+    for axis in ("rows", "cols"):
+        assert reduce(a, s.add, axis) == reduce(a, step.add, axis)
+
+
+@pytest.mark.parametrize("d", _INTEGERS, ids=lambda d: d.kind)
+def test_integer_outputs_that_wrap_to_zero(d):
+    s = registry_get(f"plus_times/{d.kind}")
+    q = (d.max_value - d.min_value + 1) // 4
+    # Each product 2q is half the modulus (a signed overflow), their sum 4q
+    # the modulus: the output wraps to 0, which mxm and mxv drop.
+    a = to_compressed(CooMatrix(1, 2, (Triple(0, 0, q), Triple(0, 1, q)), d))
+    b = to_compressed(CooMatrix(2, 1, (Triple(0, 0, 2), Triple(1, 0, 2)), d))
+    v = SparseVector(2, ((0, 2), (1, 2)), d)
+    # A row summing to the modulus wraps to 0, which reduce keeps.
+    low = (d.min_value, d.min_value) if d.is_signed else (d.max_value, 1)
+    row = to_compressed(CooMatrix(1, 2, (Triple(0, 0, low[0]), Triple(0, 1, low[1])), d))
+    for sr in (s, _per_step(s)):
+        assert nvals(mxm(a, b, sr)) == 0
+        assert mxv(a, v, sr).entries == ()
+        assert reduce(row, sr.add, "rows").entries == ((0, 0),)
+
+
+@pytest.mark.parametrize("plain", ["add", "mul"])
+def test_a_user_op_without_a_raw_operator_folds_per_step(plain):
+    d = INT8
+    builtin = registry_get("plus_times/signed-int-8")
+    calls = []
+
+    def counted(op):
+        def fn(x, y):
+            calls.append((x, y))
+            return op(x, y)
+        return BinaryOp(f"counted_{op.name}", d, fn)
+
+    add = Monoid(counted(builtin.add.op), 0) if plain == "add" else builtin.add
+    user = Semiring("counted_plus_times/signed-int-8", add,
+                    counted(builtin.mul) if plain == "mul" else builtin.mul)
+    assert kernels._fold_ops(user.add.op, user.mul)[2] is None
+    a = to_compressed(CooMatrix(2, 2, (Triple(0, 0, 100), Triple(0, 1, 100),
+                                       Triple(1, 0, -100), Triple(1, 1, 1)), d))
+    v = SparseVector(2, ((0, 100), (1, 100)), d)
+    assert entries_of(mxm(a, a, user)) == entries_of(mxm(a, a, builtin))
+    assert mxv(a, v, user) == mxv(a, v, builtin)
+    # Every step was taken by the user op, on values inside the domain.
+    assert calls and all(d.contains(x) and d.contains(y) for x, y in calls)
+    calls.clear()
+    assert reduce(a, user.add, "rows").entries == ((0, -56), (1, -99))
+    assert len(calls) == (4 if plain == "add" else 0)

@@ -425,3 +425,14 @@ def test_builtin_ops_match_their_formulas_on_random_members(data):
     a = data.draw(_members(s.domain))
     b = data.draw(_members(s.domain))
     _check_against_reference(s, a, b)
+
+
+@pytest.mark.parametrize("s", _DEFINED, ids=lambda s: s.name)
+def test_only_integer_plus_and_times_expose_a_raw_operator(s):
+    wraps = s.name.startswith("plus_times/") and s.domain.is_integer
+    for op in (s.add.op, s.mul):
+        assert (op.raw is not None) == wraps, (s.name, op.name)
+        if wraps:
+            pool = _edge_operands(s.domain)
+            for a, b in itertools.product(pool, repeat=2):
+                assert op(a, b) == s.domain.wrap(op.raw(a, b)), (s.name, op.name, a, b)
