@@ -41,15 +41,18 @@ from .errors import (
 class BinaryOp:
     """A named, deterministic, pure function of two domain values.
 
-    `raw`, when set, is the same operator on unbounded ints, with
-    `eval(a, b) == domain.wrap(raw(a, b))` (two's complement).  The integer
-    plus and times set it, so a kernel fold may wrap once per output.
+    `raw` is None except on the built-in integer plus and times, where it is
+    the same operator on unbounded ints, with `eval(a, b) ==
+    domain.wrap(raw(a, b))` (two's complement), so a kernel fold may wrap
+    once per output.  It is not a constructor argument: only
+    `_wrapping` sets it.
     """
 
     name: str
     domain: ValueDomain
     eval: Callable[[Any, Any], Any] = field(repr=False)
-    raw: Callable[[int, int], int] | None = field(default=None, repr=False, compare=False)
+    raw: Callable[[int, int], int] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __call__(self, a, b):
         return self.eval(a, b)
@@ -153,7 +156,9 @@ def _fitted(domain: ValueDomain, op: Callable[[int, int], int],
 def _wrapping(name: str, domain: ValueDomain, op: Callable[[int, int], int]) -> BinaryOp:
     """`op` over an integer domain, wrapping out-of-range results; the plain
     `op` is kept as `raw`, so a fold may wrap once at its end instead."""
-    return BinaryOp(name, domain, _fitted(domain, op, domain.wrap), raw=op)
+    wrapping = BinaryOp(name, domain, _fitted(domain, op, domain.wrap))
+    object.__setattr__(wrapping, "raw", op)
+    return wrapping
 
 
 def plus_monoid(domain: ValueDomain) -> Monoid:

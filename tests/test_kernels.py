@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -677,8 +676,9 @@ _INTEGERS = (INT8, INT16, INT32, INT64, UINT8, UINT16, UINT32, UINT64)
 
 def _per_step(s):
     """`s` with its ops' raw operators hidden, so every kernel wraps per step."""
-    return Semiring(s.name, Monoid(replace(s.add.op, raw=None), s.zero),
-                    replace(s.mul, raw=None))
+    add, mul = s.add.op, s.mul
+    return Semiring(s.name, Monoid(BinaryOp(add.name, add.domain, add.eval), s.zero),
+                    BinaryOp(mul.name, mul.domain, mul.eval))
 
 
 def _near_bounds(d):

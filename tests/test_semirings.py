@@ -436,3 +436,10 @@ def test_only_integer_plus_and_times_expose_a_raw_operator(s):
             pool = _edge_operands(s.domain)
             for a, b in itertools.product(pool, repeat=2):
                 assert op(a, b) == s.domain.wrap(op.raw(a, b)), (s.name, op.name, a, b)
+
+
+def test_raw_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        BinaryOp("plus", FLOAT32, lambda a, b: a + b, raw=lambda a, b: a + b)
+    user = BinaryOp("plus", INT8, registry_get("plus_times/signed-int-8").add.op.eval)
+    assert user.raw is None
