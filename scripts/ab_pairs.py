@@ -8,7 +8,10 @@ products`); each named workload is then measured in turn, with its own
 pairs and its own report, from one extraction of the two trees.
 
 BASE and CHANGE are git revisions of this repository (pass `$(git stash
-create)` as CHANGE to measure uncommitted work).  Each is extracted with
+create)` as CHANGE to measure uncommitted work).  Both are resolved to
+full commit ids before any run, and every report header and the JSON dump
+name those ids; a revision that names no commit exits with one `error:`
+line.  Each is extracted with
 `git archive REV | tar -x` into a temporary directory, and
 `perfbench/run.py --trace 0` runs from each extracted tree, so each side
 runs its own benchmark against its own src/.  Every run lasts the
@@ -125,6 +128,15 @@ def raw_walls(lines: list[str]) -> dict[str, float]:
     return found
 
 
+def resolve(rev: str) -> str:
+    """The full id of the commit that git revision `rev` names."""
+    proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", "--quiet",
+                           f"{rev}^{{commit}}"], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: revision {rev!r} names no commit")
+    return proc.stdout.strip()
+
+
 def extract(rev: str, dest: str) -> None:
     """Write the tree of `rev` into `dest` (git archive piped into tar)."""
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
@@ -213,7 +225,8 @@ def compare_pairs(trees: dict, workload: str, args, seconds: float,
               f"{verdict(runs['base'][m], runs['change'][m], bound)} (bound {bound:g})"
               + raw_medians(runs["base"].get(f"{m} raw wall", []),
                             runs["change"].get(f"{m} raw wall", []), args.pairs))
-    print(json.dumps(runs), flush=True)
+    print(json.dumps({"commits": {"base": args.base, "change": args.change}, **runs}),
+          flush=True)
     return ok
 
 
@@ -232,6 +245,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    args.base, args.change = resolve(args.base), resolve(args.change)
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         trees = {}

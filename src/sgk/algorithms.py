@@ -107,7 +107,9 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
 def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what: str):
     """Bellman-Ford relaxation x <- x (+) m'x to a fixed point, m' being m or
     its transpose: each round's product is densified with the add identity
-    and folded into the dense x by the add, so x keeps its own value."""
+    and folded into the dense x by the add, so x keeps its own value.  m is
+    put once in the order its products read, so no round reorients."""
+    m = reorient(m, COL if transpose_input else ROW)
     for _ in range(x.length + 1):
         pulled = densify_vector(mxv(m, x, sr, transpose_input=transpose_input), sr.zero)
         nxt = scale_vector(x, pulled, sr.add.op)
@@ -143,8 +145,7 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     sr = registry_get(f"min_plus/{d.kind}")
     zero_w = 0.0 if d.is_float else 0
     start = densify_vector(vector_from_entries(n, [(source, zero_w)], d), sr.zero)
-    # Column-major once, so the transposed products never reorient.
-    reached = _relax(reorient(a, COL), start, sr, True,
+    reached = _relax(a, start, sr, True,
                      "sssp_minplus: distances failed to stabilize in n iterations")
     dist = apply_unary(reached, UnaryOp("identity", d, d, lambda x: x), drop_zeros_for=sr.zero)
     # Tropical + is monotone, so a sum reaches the identity only if the largest
@@ -174,8 +175,7 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
             "connected_components: adjacency pattern is not symmetric"
         )
     labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
-    # Row-major once, so the products never reorient.
-    return _relax(reorient(pat, ROW), labels, sr, False,
+    return _relax(pat, labels, sr, False,
                   "connected_components: labels failed to stabilize")
 
 
@@ -229,12 +229,12 @@ def clustering_coefficients(a: CompressedMatrix) -> SparseVector:
     deg = reduce(pat, sr.add, "rows")
     wedges = apply_unary(
         deg,
-        UnaryOp("wedges", INT64, INT64, lambda d: d * (d - 1) // 2),
-        drop_zeros_for=0,
+        UnaryOp("wedges", INT64, FLOAT64, lambda d: d * (d - 1) / 2),
+        drop_zeros_for=0.0,
     )
     to_f = UnaryOp("to_float", INT64, FLOAT64, float)
     ratio = BinaryOp("divide", FLOAT64, lambda x, y: x / y)
-    return scale_vector(apply_unary(tri, to_f), apply_unary(wedges, to_f), ratio)
+    return scale_vector(apply_unary(tri, to_f), wedges, ratio)
 
 
 def pagerank(a: CompressedMatrix, alpha: float = 0.85, max_iters: int = 100,

@@ -8,7 +8,7 @@ Market encoding on disk.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input
 data, an unwritable output path or a result value JSON cannot carry, 3
-algorithm precondition failure.
+any other library error, such as an algorithm precondition failure.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .containers import (
     vector_from_entries,
 )
 from .errors import (
-    DimensionMismatchError,
     DomainMismatchError,
     DuplicateIndexError,
     IndexRangeError,
     ParseError,
     PreconditionError,
+    SgkError,
     UnknownSemiringError,
     UnserializableDomainError,
     UnsupportedDomainError,
@@ -298,10 +298,7 @@ def _render_tsv(result) -> str:
     for key, value in result.items():
         if isinstance(value, list):
             for item in value:
-                if isinstance(item, list):
-                    out.append("\t".join(str(x) for x in [key, *item]))
-                else:
-                    out.append(f"{key}\t{item}")
+                out.append("\t".join(str(x) for x in [key, *item]))
         else:
             out.append(f"{key}\t{value}")
     return "".join(line + "\n" for line in out)
@@ -341,15 +338,7 @@ def run(argv=None) -> int:
     except (_DataError, ParseError, UnserializableDomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (
-        PreconditionError,
-        DimensionMismatchError,
-        DomainMismatchError,
-        IndexRangeError,
-        DuplicateIndexError,
-        UnsupportedDomainError,
-        UnknownSemiringError,
-    ) as e:
+    except SgkError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

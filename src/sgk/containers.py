@@ -17,7 +17,6 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from .domains import ValueDomain
 from .errors import (
     DimensionMismatchError,
-    DomainMismatchError,
     DuplicateIndexError,
     IndexRangeError,
     SgkError,
@@ -161,7 +160,7 @@ def build_from_triples(nrows: int, ncols: int,
     return _assemble(nrows, ncols, rows, cols, vals, dup)
 
 
-def _check_values(vals: list, domain: ValueDomain) -> None:
+def _check_values(vals: Sequence, domain: ValueDomain) -> None:
     """Raise for the first value outside `domain`."""
     if not all(map(domain.contains, vals)):
         for v in vals:
@@ -374,20 +373,13 @@ def check_invariants(obj) -> bool:
     the declared domain.  Returns True or raises.
     """
     if isinstance(obj, CompressedMatrix):
-        CompressedMatrix(obj.nrows, obj.ncols, obj.orientation, obj.offsets,
-                         obj.minor_indices, obj.values, obj.domain)
         vals: Sequence = obj.values
     elif isinstance(obj, CooMatrix):
-        CooMatrix(obj.nrows, obj.ncols, obj.triples, obj.domain)
         vals = [t.val for t in obj.triples]
     elif isinstance(obj, SparseVector):
-        SparseVector(obj.length, obj.entries, obj.domain)
         vals = [v for _i, v in obj.entries]
     else:
         raise TypeError(f"no invariants defined for {type(obj).__name__}")
-    for v in vals:
-        if not obj.domain.contains(v):
-            raise DomainMismatchError(
-                f"stored value {v!r} is outside domain {obj.domain.kind}"
-            )
+    replace(obj)
+    _check_values(vals, obj.domain)
     return True

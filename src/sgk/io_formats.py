@@ -13,7 +13,7 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NoReturn
 
 from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble, _slice,
                          reorient, to_compressed)
@@ -107,16 +107,15 @@ class _DataLines:
         self.lineno = lineno
 
 
-def _finite_float(token: str, lineno: int, what: str) -> float:
-    """Parse a finite float; `what` names the value in errors ("real value",
-    "weight"), and its last word names it when the value is not finite."""
+def _refuse_float(token: str, lineno: int, what: str) -> NoReturn:
+    """Raise the ParseError for a float token a reader refused: invalid when
+    it does not parse, non-finite when it does.  `what` names the value
+    ("real value", "weight"); its last word names a non-finite one."""
     try:
-        v = float(token)
+        float(token)
     except ValueError:
         raise ParseError(lineno, f"invalid {what} {token!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {token!r}")
-    return v
+    raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {token!r}")
 
 
 def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescriptor]:
@@ -183,7 +182,7 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
             except ValueError:
                 v = math.nan
             if not math.isfinite(v):
-                v = _finite_float(tokens[2], lineno, "real value")
+                _refuse_float(tokens[2], lineno, "real value")
         elif field == "pattern":
             v = 1
         elif field == "integer":
@@ -321,7 +320,7 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
             except ValueError:
                 w = math.nan
             if not math.isfinite(w):
-                w = _finite_float(tokens[2], lineno, "weight")
+                _refuse_float(tokens[2], lineno, "weight")
         else:
             w = 1
         if u > top or v > top:

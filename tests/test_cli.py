@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sgk import io_formats
+from sgk import algorithms, io_formats
 from sgk.cli import run
+from sgk.errors import InternalInvariantError, LawCheckError, SgkError
 from sgk.io_formats import read_matrix_market
 
 K3_EDGES = "0 1\n0 2\n1 2\n"
@@ -26,6 +27,7 @@ VECTOR_MM = (
     "3 1 1\n"
     "1 1 1\n"
 )
+COMPLEX_MM = "%%MatrixMarket matrix coordinate complex general\n"
 
 
 @pytest.fixture()
@@ -68,6 +70,26 @@ def test_info_tsv_rendering(capsys, triangle_mm_file):
     out = capsys.readouterr().out
     assert out == (
         "nrows\t3\nncols\t3\nnnz\t6\nsymmetric\tTrue\ndomain\tsigned-int-64\n"
+    )
+
+
+def test_scalar_result_tsv_rendering(capsys, k3_file):
+    assert run(["triangles", "--undirected", "--format", "tsv", k3_file]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_complex_results_print_as_real_imaginary_pairs(capsys, tmp_path):
+    mat = tmp_path / "c.mtx"
+    mat.write_text(COMPLEX_MM + "2 2 2\n1 1 1.5 -2\n2 1 0 1\n")
+    vec = tmp_path / "v.mtx"
+    vec.write_text(COMPLEX_MM + "2 1 1\n1 1 2 0\n")
+    argv = ["mxv", "--semiring", "plus_times", str(mat), str(vec)]
+    code, payload, _ = run_json(capsys, argv)
+    assert code == 0
+    assert payload["result"] == {"length": 2, "entries": [[0, [3.0, -4.0]], [1, [0.0, 2.0]]]}
+    assert run(argv + ["--format", "tsv"]) == 0
+    assert capsys.readouterr().out == (
+        "length\t2\nentries\t0\t[3.0, -4.0]\nentries\t1\t[0.0, 2.0]\n"
     )
 
 
@@ -272,12 +294,23 @@ def test_missing_required_argument_is_usage_error(capsys, k3_file):
     assert run(["bfs", k3_file]) == 1
 
 
-def test_unknown_semiring_family_is_usage_error(capsys, triangle_mm_file, tmp_path):
+@pytest.mark.parametrize("name, resolved", [
+    ("nope/float-double", "nope/float-double"),
+    ("nope", "nope/signed-int-64"),  # a bare family resolves against the input's domain
+])
+def test_unknown_semiring_family_is_usage_error(capsys, triangle_mm_file, tmp_path,
+                                                name, resolved):
     out = tmp_path / "x.mm"
-    code = run(["mxm", "--semiring", "nope/float-double", triangle_mm_file,
+    code = run(["mxm", "--semiring", name, triangle_mm_file,
                 triangle_mm_file, "-o", str(out)])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown semiring {resolved!r}\n"
+    assert not out.exists()
+
+
+def test_non_integer_source_is_usage_error(capsys, k3_file):
+    assert run(["bfs", "--source", "1,x", k3_file]) == 1
+    assert capsys.readouterr().err == "error: --source expects integers, got 'x'\n"
 
 
 def test_unsupported_domain_for_family_is_compute_error(capsys, tmp_path):
@@ -356,6 +389,14 @@ def test_non_finite_matrix_market_value_is_data_error(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == f"error: {p}: line 3: non-finite value 'inf'\n" * 2
     assert not out.exists()
+
+
+def test_non_finite_complex_part_is_data_error(capsys, tmp_path):
+    p = tmp_path / "inf.mtx"
+    p.write_text(COMPLEX_MM + "2 2 1\n1 1 inf 0\n")
+    assert run(["info", str(p)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {p}: line 3: non-finite value 'inf' '0'\n")
 
 
 @pytest.fixture()
@@ -495,6 +536,20 @@ def test_mxv_rejects_non_column_vector(capsys, tmp_path, triangle_mm_file):
                 triangle_mm_file])
     assert code == 3
     assert "single-column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    InternalInvariantError("triangle_count: a fixed point failed"),
+    LawCheckError("associativity", (0, 0, 4)),
+    SgkError("an error of no narrower class"),
+], ids=lambda e: type(e).__name__)
+def test_any_other_library_error_is_exit_3(capsys, monkeypatch, k3_file, error):
+    def raising(_a):
+        raise error
+    monkeypatch.setattr(algorithms, "triangle_count", raising)
+    code, payload, err = run_json(capsys, ["triangles", "--undirected", k3_file])
+    assert code == 3 and payload is None
+    assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("name, text, where", [

@@ -311,6 +311,10 @@ def test_check_invariants_accepts_valid_and_flags_bad_values():
     )
     with pytest.raises(DomainMismatchError):
         check_invariants(forged)
+    v = SparseVector(3, ((0, 1), (2, 5)), INT64)
+    assert check_invariants(v)
+    with pytest.raises(DomainMismatchError, match=r"^value 0\.5 is not in domain signed-int-64$"):
+        check_invariants(SparseVector(3, ((0, 1), (2, 0.5)), INT64))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,14 @@ def test_ulp_distance_basics():
     assert ulp_distance(1.0, 1.0 + 2**-50, FLOAT64) == 4
 
 
+def test_ulp_distance_over_float_single_counts_single_steps():
+    up = 1.0 + 2**-23  # the next single above 1.0
+    assert ulp_distance(1.0, up, FLOAT32) == 1
+    assert ulp_distance(-1.0, -up, FLOAT32) == 1
+    assert ulp_distance(-1.401298464324817e-45, 1.401298464324817e-45, FLOAT32) == 2
+    assert ulp_distance(1.0, up, FLOAT64) == 2**29
+
+
 def test_ulp_distance_spans_zero():
     tiny = 5e-324
     assert ulp_distance(tiny, -tiny, FLOAT64) == 2

@@ -164,3 +164,45 @@ def test_ab_pairs_reads_the_raw_wall_times_of_a_run():
         "  raw wall: base 0.6000 change 0.4000")
     # A side with a run that printed no raw time shows no medians.
     assert ab.raw_medians([0.5, 0.7], [0.4, 0.3, 0.5], 3) == ""
+
+
+def test_ab_pairs_resolves_both_revisions_to_commit_ids_before_any_run(tmp_path, monkeypatch,
+                                                                       capsys):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.invalid", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "f.txt").write_text("x\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    ab = _ab_pairs()
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    assert ab.resolve("HEAD") == ab.resolve(head[:7]) == head
+    extracted = []
+    monkeypatch.setattr(ab, "extract", lambda rev, dest: extracted.append(rev))
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["HEAD", "no-such-rev", "--workload", "products", "--seed", "3"])
+    assert exc.value.code == "error: revision 'no-such-rev' names no commit"
+    # The tree of HEAD is a tree, not a commit.
+    with pytest.raises(SystemExit):
+        ab.resolve("HEAD^{tree}")
+    assert extracted == []
+    # Reports name the commit ids, not the revisions given.
+    monkeypatch.setattr(ab, "run_once", lambda *a, **k: {
+        "correct": True, "failed": 0, "attempted": 1, "metrics": {}})
+    assert ab.main(["HEAD", head[:7], "--workload", "products", "--seed", "3",
+                    "--counters"]) == 0
+    assert extracted == [head, head]
+    assert f"products seed 3, base {head} vs change {head}:" in capsys.readouterr().out
+    monkeypatch.setattr(ab, "run_once", lambda *a, **k: {
+        "correct": True, "failed": 0, "attempted": 1,
+        "metrics": {"pass_s": {"value": 0.5}}, "raw_walls": {}})
+    args = ab.parse_args([head, head, "--workload", "products", "--seed", "3", "--pairs", "1"])
+    trees = {"base": "b", "change": "c"}
+    assert ab.compare_pairs(trees, "products", args, 1.0, {"pass_s": 0.25})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"products seed 3, 1 pairs of 1 s runs, base {head} vs change {head}"
+    assert json.loads(lines[-1])["commits"] == {"base": head, "change": head}

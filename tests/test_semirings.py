@@ -258,6 +258,16 @@ def test_law_pool_for_rounding_floats_is_positive_and_finite():
     assert all(x >= 0.0 and math.isfinite(x) for x in pool)
 
 
+def test_law_pool_over_complex_holds_the_units_and_finite_draws():
+    s = registry_get("plus_times/complex-double")
+    pool = law_sample_pool(s, random.Random(5), size=16)
+    assert pool[:3] == [0j, 1 + 0j, 1j]
+    assert len(pool) == 16
+    assert all(isinstance(x, complex) and math.isfinite(x.real) and math.isfinite(x.imag)
+               for x in pool)
+    assert pool == law_sample_pool(s, random.Random(5), size=16)
+
+
 def test_verify_laws_passes_for_all_canonical_semirings():
     for name in CANONICAL_NAMES:
         verify_semiring_laws(registry_get(name))
@@ -273,6 +283,18 @@ def test_check_law_triples_reports_identity_violation():
     with pytest.raises(LawCheckError) as exc:
         check_law_triples(bad, [(-5, -5, -5)])
     assert exc.value.law == "identity"
+
+
+def test_check_law_triples_reports_associativity_violation():
+    # The floored mean commutes but does not associate.
+    bad = Semiring(
+        "mean_times/signed-int-64",
+        Monoid(BinaryOp("mean", INT64, lambda a, b: (a + b) // 2), 0),
+        times_op(INT64),
+    )
+    with pytest.raises(LawCheckError) as exc:
+        check_law_triples(bad, [(0, 0, 4)])
+    assert (exc.value.law, exc.value.witness) == ("associativity", (0, 0, 4))
 
 
 def test_ops_are_callable_descriptors():
