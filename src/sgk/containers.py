@@ -96,18 +96,19 @@ class CompressedMatrix:
             raise SgkError("minor_indices and values must have equal length")
         if len(self.offsets) != major + 1 or self.offsets[0] != 0 or self.offsets[-1] != nnz:
             raise SgkError("offsets must span [0, nnz] with one slot per major slice")
-        for i in range(major):
-            lo, hi = self.offsets[i], self.offsets[i + 1]
+        minors = self.minor_indices
+        lo = 0
+        for hi in islice(self.offsets, 1, None):
             if lo > hi:
                 raise SgkError("offsets must be non-decreasing")
             prev = -1
-            for p in range(lo, hi):
-                j = self.minor_indices[p]
+            for j in minors[lo:hi]:
                 if j <= prev:
                     raise SgkError("minor indices must be strictly increasing per slice")
                 if not 0 <= j < minor:
                     raise IndexRangeError(f"minor index {j} out of range")
                 prev = j
+            lo = hi
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,12 @@ def _offsets(indices: Iterable[int], nslices: int) -> tuple[int, ...]:
     return tuple(accumulate(counts))
 
 
+def _major_indices(offsets: Sequence[int]) -> Iterable[int]:
+    """The major index of each stored entry, in stored order."""
+    counts = map(sub, islice(offsets, 1, None), offsets)
+    return chain.from_iterable(map(repeat, range(len(offsets) - 1), counts))
+
+
 def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:
     """The (minor index, value) pairs of major slice `i`, in stored order."""
     lo, hi = m.offsets[i], m.offsets[i + 1]
@@ -268,12 +275,11 @@ def reorient(m: CompressedMatrix, orientation: str) -> CompressedMatrix:
     free = list(offsets)
     minors = [0] * len(m.values)
     values = [None] * len(m.values)
-    for i in range(len(m.offsets) - 1):
-        for j, v in _slice(m, i):
-            q = free[j]
-            free[j] = q + 1
-            minors[q] = i
-            values[q] = v
+    for i, j, v in zip(_major_indices(m.offsets), m.minor_indices, m.values):
+        q = free[j]
+        free[j] = q + 1
+        minors[q] = i
+        values[q] = v
     return replace(m, orientation=orientation, offsets=offsets,
                    minor_indices=tuple(minors), values=tuple(values))
 
@@ -322,9 +328,7 @@ def entries_of(m) -> tuple[Triple, ...]:
     """All stored entries as (row, col, val) triples, sorted by (row, col)."""
     if isinstance(m, CompressedMatrix):
         csr = reorient(m, ROW)
-        counts = map(sub, islice(csr.offsets, 1, None), csr.offsets)
-        rows = chain.from_iterable(map(repeat, range(csr.nrows), counts))
-        return _triples(rows, csr.minor_indices, csr.values)
+        return _triples(_major_indices(csr.offsets), csr.minor_indices, csr.values)
     if isinstance(m, CooMatrix):
         return m.triples
     raise TypeError(f"entries_of is not defined for {type(m).__name__}")

@@ -242,15 +242,13 @@ def serializable_field(m) -> str:
         field, ok = "pattern", bool
     else:
         field, ok = ("real", math.isfinite) if d.is_float else ("complex", cmath.isfinite)
-    for p, v in enumerate(csr.values):
-        if not ok(v):
-            what = ("pattern file cannot store a false value" if field == "pattern"
-                    else f"non-finite value {v!r} has no Matrix Market form")
-            row = bisect_right(csr.offsets, p) - 1
-            raise UnserializableDomainError(
-                f"{what} (at row {row}, column {csr.minor_indices[p]})"
-            )
-    return field
+    if all(map(ok, csr.values)):
+        return field
+    p, v = next((p, v) for p, v in enumerate(csr.values) if not ok(v))
+    what = ("pattern file cannot store a false value" if field == "pattern"
+            else f"non-finite value {v!r} has no Matrix Market form")
+    row = bisect_right(csr.offsets, p) - 1
+    raise UnserializableDomainError(f"{what} (at row {row}, column {csr.minor_indices[p]})")
 
 
 # The text of one stored value, with its leading space, per field.

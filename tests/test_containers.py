@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -248,16 +249,44 @@ def test_coo_rejects_out_of_range():
         CooMatrix(2, 2, (Triple(0, 5, 1),), INT64)
 
 
-def test_compressed_validates_offsets():
-    with pytest.raises(SgkError):
-        CompressedMatrix(2, 2, ROW, (0, 1), (0,), (1,), INT64)
-    with pytest.raises(SgkError):
-        CompressedMatrix(2, 2, ROW, (0, 2, 1), (0, 1), (1, 1), INT64)
+_SPAN = "offsets must span [0, nnz] with one slot per major slice"
+_DECREASING = "offsets must be non-decreasing"
+_UNSORTED = "minor indices must be strictly increasing per slice"
 
 
-def test_compressed_requires_sorted_minor_indices():
-    with pytest.raises(SgkError):
-        CompressedMatrix(1, 3, ROW, (0, 2), (2, 0), (1, 1), INT64)
+@pytest.mark.parametrize("args, error, text", [
+    ((2, 2, "diag", (0, 0, 0), (), ()), ValueError, "orientation must be one of ('row', 'col')"),
+    ((-1, 2, ROW, (0,), (), ()), DimensionMismatchError, "matrix dimensions must be non-negative"),
+    ((1, 2, ROW, (0, 1), (0,), (1, 2)), SgkError,
+     "minor_indices and values must have equal length"),
+    ((2, 2, ROW, (0, 1), (0,), (1,)), SgkError, _SPAN),
+    ((2, 2, ROW, (0, 2, 1), (0, 1), (1, 1)), SgkError, _SPAN),
+    ((2, 2, ROW, (1, 1, 1), (0,), (1,)), SgkError, _SPAN),
+    ((3, 2, ROW, (0, 2, 1, 2), (0, 1), (1, 1)), SgkError, _DECREASING),
+    # An offset past nnz: the slice it opens is cut short, the next one decreases.
+    ((2, 2, ROW, (0, 5, 2), (0, 1), (1, 1)), SgkError, _DECREASING),
+    ((1, 3, ROW, (0, 2), (2, 0), (1, 1)), SgkError, _UNSORTED),
+    ((1, 3, ROW, (0, 2), (1, 1), (1, 1)), SgkError, _UNSORTED),
+    ((1, 3, ROW, (0, 1), (3,), (1,)), IndexRangeError, "minor index 3 out of range"),
+    # Each slice starts from prev = -1, so a negative index fails the order check first.
+    ((1, 3, ROW, (0, 1), (-1,), (1,)), SgkError, _UNSORTED),
+    # CSC minor indices are rows, so they are bounded by nrows.
+    ((2, 3, COL, (0, 0, 0, 1), (2,), (1,)), IndexRangeError, "minor index 2 out of range"),
+    # Checks run slice by slice, entry by entry: the earlier fault is named.
+    ((2, 3, ROW, (0, 2, 3), (0, 7, 1), (1, 1, 1)), IndexRangeError,
+     "minor index 7 out of range"),
+    ((2, 3, ROW, (0, 2, 3), (1, 0, 7), (1, 1, 1)), SgkError, _UNSORTED),
+])
+def test_compressed_refusals_name_the_fault(args, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        CompressedMatrix(*args, INT64)
+
+
+def test_a_forged_offset_past_nnz_is_refused_by_check_invariants():
+    m = CompressedMatrix(2, 2, ROW, (0, 1, 2), (0, 1), (1, 1), INT64)
+    object.__setattr__(m, "offsets", (0, 5, 2))
+    with pytest.raises(SgkError, match=f"^{_DECREASING}$"):
+        check_invariants(m)
 
 
 def test_vector_requires_increasing_indices_and_range():

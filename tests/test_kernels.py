@@ -21,6 +21,7 @@ from sgk.containers import (
     CooMatrix,
     SparseVector,
     Triple,
+    _slice,
     check_invariants,
     entries_of,
     nvals,
@@ -767,3 +768,91 @@ def test_a_user_op_without_a_raw_operator_folds_per_step(plain):
     calls.clear()
     assert reduce(a, user.add, "rows").entries == ((0, -56), (1, -99))
     assert len(calls) == (4 if plain == "add" else 0)
+
+
+# ---------------------------------------------------------------------------
+# mxm against the per-slice-pairs body it replaced
+
+
+def _mxm_by_slice_pairs(a, b, s):
+    """mxm as it was before it wrote its product straight into CSR arrays:
+    one sorted (k, v) pair list per output row, assembled by _from_slices."""
+    if a.ncols != b.nrows:
+        raise DimensionMismatchError(
+            f"mxm: inner dimensions differ ({a.nrows}x{a.ncols} times {b.nrows}x{b.ncols})"
+        )
+    kernels._require_domain(s.domain, a, b)
+    ar = reorient(a, ROW)
+    br = reorient(b, ROW)
+    add, mul, fit = kernels._fold_ops(s.add.op, s.mul)
+    zero = s.add.identity
+    out_rows = []
+    for i in range(ar.nrows):
+        acc = {}
+        for j, x in _slice(ar, i):
+            for k, y in _slice(br, j):
+                acc[k] = add(acc.get(k, zero), mul(x, y))
+        folded = acc.items() if fit is None else [(k, fit(v)) for k, v in acc.items()]
+        out_rows.append(sorted((k, v) for k, v in folded if not v == zero))
+    return kernels._from_slices(a.nrows, b.ncols, out_rows, s.domain, ROW, a.orientation)
+
+
+def _assert_same_product(a, b, s):
+    got, want = mxm(a, b, s), _mxm_by_slice_pairs(a, b, s)
+    assert (got.nrows, got.ncols, got.orientation, got.domain) == \
+        (want.nrows, want.ncols, want.orientation, want.domain)
+    assert got.offsets == want.offsets
+    assert got.minor_indices == want.minor_indices
+    assert repr(got.values) == repr(want.values)
+    return got
+
+
+# Values that make folds wrap (to 0 too), overflow to the min_plus identity,
+# or stay false, so the new path's zero drop is exercised on every semiring.
+_PRODUCT_VALUES = {
+    "plus_times/signed-int-8": _near_bounds(INT8),
+    "min_plus/float-double": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                       st.sampled_from([math.inf, -0.0, 0.5])),
+    "or_and": st.booleans(),
+}
+
+
+def _operand(data, nrows, ncols, domain, values):
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), values,
+        max_size=12)) if nrows and ncols else {}
+    triples = tuple(Triple(r, c, x) for (r, c), x in sorted(cells.items()))
+    return to_compressed(CooMatrix(nrows, ncols, triples, domain),
+                         data.draw(st.sampled_from([ROW, COL])))
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_VALUES))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mxm_matches_the_slice_pairs_body_it_replaced(name, data):
+    s = registry_get(name)
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = _operand(data, n, k, s.domain, _PRODUCT_VALUES[name])
+    b = _operand(data, k, m, s.domain, _PRODUCT_VALUES[name])
+    assert check_invariants(_assert_same_product(a, b, s))
+
+
+@pytest.mark.parametrize("name, a_vals, b_vals, kept", [
+    # 64 * 2 + 64 * 2 = 256 wraps to 0 in signed-int-8; 64 * 5 = 320 wraps to 64.
+    ("plus_times/signed-int-8", (64, 64, 3), (2, 2, 5), [(0, 1), (1, 0), (1, 1)]),
+    # inf plus anything finite is the min identity inf.
+    ("min_plus/float-double", (math.inf, math.inf, 1.0), (1.5, 1.5, 2.0), [(1, 0), (1, 1)]),
+    ("or_and", (True, True, False), (False, False, True), [(0, 1)]),
+])
+@pytest.mark.parametrize("orients", [(ROW, ROW), (ROW, COL), (COL, ROW), (COL, COL)])
+def test_mxm_matches_the_slice_pairs_body_where_outputs_fold_to_zero(name, a_vals, b_vals,
+                                                                     kept, orients):
+    """A = [[a0, a1], [., a2]] and B = [[b0, .], [b1, b2]]: C(0, 0) folds to
+    the zero and is dropped, as is every other product equal to it."""
+    s = registry_get(name)
+    a = to_compressed(CooMatrix(2, 2, (Triple(0, 0, a_vals[0]), Triple(0, 1, a_vals[1]),
+                                       Triple(1, 1, a_vals[2])), s.domain), orients[0])
+    b = to_compressed(CooMatrix(2, 2, (Triple(0, 0, b_vals[0]), Triple(1, 0, b_vals[1]),
+                                       Triple(1, 1, b_vals[2])), s.domain), orients[1])
+    got = _assert_same_product(a, b, s)
+    assert [(t.row, t.col) for t in entries_of(got)] == kept
