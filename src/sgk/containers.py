@@ -103,10 +103,10 @@ class CompressedMatrix:
                 raise SgkError("offsets must be non-decreasing")
             prev = -1
             for j in minors[lo:hi]:
-                if j <= prev:
-                    raise SgkError("minor indices must be strictly increasing per slice")
                 if not 0 <= j < minor:
                     raise IndexRangeError(f"minor index {j} out of range")
+                if j <= prev:
+                    raise SgkError("minor indices must be strictly increasing per slice")
                 prev = j
             lo = hi
 
@@ -124,10 +124,10 @@ class SparseVector:
             raise DimensionMismatchError("vector length must be non-negative")
         prev = -1
         for i, _v in self.entries:
-            if i <= prev:
-                raise SgkError("vector entries must be strictly increasing by index")
             if not 0 <= i < self.length:
                 raise IndexRangeError(f"index {i} out of range for length {self.length}")
+            if i <= prev:
+                raise SgkError("vector entries must be strictly increasing by index")
             prev = i
 
 
@@ -148,8 +148,8 @@ def build_from_triples(nrows: int, ncols: int,
     cols: list[int] = []
     vals: list[Any] = []
     for pos, (r, c, v) in enumerate(triples):
-        if not isinstance(r, int) or not isinstance(c, int) \
-                or not (0 <= r < nrows and 0 <= c < ncols):
+        if not (isinstance(r, int) and isinstance(c, int)) or isinstance(r, bool) \
+                or isinstance(c, bool) or not (0 <= r < nrows and 0 <= c < ncols):
             _check_values(vals, dup.domain)  # a bad value earlier in the input comes first
             raise IndexRangeError(
                 f"triple {pos}: position ({r!r}, {c!r}) out of range for "
@@ -178,12 +178,9 @@ def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: li
     position folds with dup.op in input order.  Each Triple is built once.
     """
     _check_values(vals, dup.domain)
-    keys = list(map(add, map(mul, rows, repeat(ncols)), cols))
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        del keys
-        rows, cols, vals = (list(map(seq.__getitem__, order)) for seq in (rows, cols, vals))
-        del order
+    ordered = _sorted_entries(rows, cols, vals, ncols)
+    if ordered is not None:
+        rows, cols, vals = ordered
         # same[k]: entry k + 1 repeats the position of entry k.
         same = list(map(and_, map(eq, rows, islice(rows, 1, None)),
                         map(eq, cols, islice(cols, 1, None))))
@@ -197,16 +194,27 @@ def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: li
     return CooMatrix(nrows, ncols, _triples(rows, cols, vals), dup.domain)
 
 
+def _sorted_entries(majors: list[int], minors: list[int], vals: list, nminor: int):
+    """None when parallel entry lists are strictly increasing by (major, minor); else the
+    lists in a stable sort on major * nminor + minor, repeated positions in input order."""
+    keys = list(map(add, map(mul, majors, repeat(nminor)), minors))
+    if all(map(lt, keys, islice(keys, 1, None))):
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    return tuple(list(map(seq.__getitem__, order)) for seq in (majors, minors, vals))
+
+
 def _triples(rows: Iterable[int], cols: Iterable[int], vals: Iterable) -> tuple[Triple, ...]:
     """Triples of parallel entry sequences, built without Triple's Python-level __new__."""
     return tuple(map(tuple.__new__, repeat(Triple), zip(rows, cols, vals)))
 
 
 def _check_index_list(indices: Iterable[int], bound: int, what: str) -> None:
-    """Raise for the first index that is not an int in [0, bound) or repeats one before it."""
+    """Raise for the first index that is not a non-bool int in [0, bound) or repeats one."""
     seen: set[int] = set()
     for i in indices:
-        if not isinstance(i, int) or not 0 <= i < bound:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < bound:
             raise IndexRangeError(f"{what} index {i!r} out of range [0, {bound})")
         if i in seen:
             raise DuplicateIndexError(f"duplicate {what} index {i}")

@@ -2,10 +2,13 @@
 
 All kernels are pure: inputs are immutable and never modified, results are
 new containers.  Matrix results keep the orientation of the first matrix
-argument.  Where a semiring is supplied, any computed value equal to the
-additive identity is dropped from the result, so the stored pattern of a
-kernel output never contains the operative zero.  Kernels that take a bare
-op or monoid have no zero in scope and keep every computed value.
+argument.  mxm writes its product row by row; every other matrix-returning
+kernel walks that argument in its own orientation and hands the result's
+entries to one builder, `_build`, as parallel (major, minor, value) lists.
+Where a semiring is supplied, any computed value equal to the additive
+identity is dropped from the result, so the stored pattern of a kernel
+output never contains the operative zero.  Kernels that take a bare op or
+monoid have no zero in scope and keep every computed value.
 
 Floating-point accumulation order is fixed: within each output slot,
 contributions fold from the additive identity in ascending minor-index
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import compress, repeat
 from operator import eq, not_
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 from .containers import (
     COL,
@@ -31,8 +34,12 @@ from .containers import (
     CompressedMatrix,
     SparseVector,
     _check_index_list,
+    _major_indices,
+    _offsets,
     _slice,
+    _sorted_entries,
     reorient,
+    vector_as_column,
 )
 from .errors import DimensionMismatchError, DomainMismatchError
 from .semirings import BinaryOp, IndexUnaryOp, Monoid, Semiring, UnaryOp
@@ -59,33 +66,15 @@ def _require_domain(expected, *containers) -> None:
             )
 
 
-def _from_slices(nrows: int, ncols: int,
-                 slices: Iterable[Iterable[tuple[int, Any]]],
-                 domain, built: str, wanted: str) -> CompressedMatrix:
-    """Assemble a matrix from per-slice (minor, val) lists.
-
-    `built` names the orientation the slices are in (ROW: slices are rows,
-    minor indices are columns; COL: the reverse); the result is reoriented
-    to `wanted`.
-    """
-    offsets = [0]
-    minors: list[int] = []
-    values: list[Any] = []
-    for sl in slices:
-        for j, v in sl:
-            minors.append(j)
-            values.append(v)
-        offsets.append(len(minors))
-    out = CompressedMatrix(
-        nrows=nrows,
-        ncols=ncols,
-        orientation=built,
-        offsets=tuple(offsets),
-        minor_indices=tuple(minors),
-        values=tuple(values),
-        domain=domain,
-    )
-    return reorient(out, wanted)
+def _build(nrows: int, ncols: int, orientation: str, majors: list[int], minors: list[int],
+           values: list, domain) -> CompressedMatrix:
+    """The matrix stored in `orientation` whose entries are the parallel
+    (major, minor, value) lists, at distinct positions in any order."""
+    nmajor, nminor = (nrows, ncols) if orientation == ROW else (ncols, nrows)
+    majors, minors, values = (_sorted_entries(majors, minors, values, nminor)
+                              or (majors, minors, values))
+    return CompressedMatrix(nrows, ncols, orientation, _offsets(majors, nmajor),
+                            tuple(minors), tuple(values), domain)
 
 
 def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
@@ -97,27 +86,6 @@ def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
         return add.eval, mul and mul.eval, None
     lo, hi, wrap = add.domain.min_value, add.domain.max_value, add.domain.wrap
     return add.raw, mul and mul.raw, lambda v: v if lo <= v <= hi else wrap(v)
-
-
-def _intersect(pairs: Iterable[tuple[int, Any]], lookup: dict,
-               fn: Callable) -> list[tuple[int, Any]]:
-    """(j, fn(x, lookup[j])) for each (j, x) in `pairs` whose index `lookup` holds."""
-    return [(j, fn(x, lookup[j])) for j, x in pairs if j in lookup]
-
-
-def _map(pairs: Iterable[tuple[int, Any]], fn: Callable,
-         drop=None) -> list[tuple[int, Any]]:
-    """(j, fn(x)) for each (j, x) in `pairs`, leaving out results equal to
-    `drop` when it is given."""
-    return [(j, y) for j, x in pairs for y in (fn(x),) if drop is None or not y == drop]
-
-
-def _map_at(pairs: Iterable[tuple[int, Any]], fn: Callable, i: int, row_major: bool,
-            drop=None) -> list[tuple[int, Any]]:
-    """_map for fn(x, row, col) over major slot i, where (row, col) is (i, j)
-    when `row_major` and (j, i) otherwise."""
-    got = [(j, fn(x, i, j) if row_major else fn(x, j, i)) for j, x in pairs]
-    return got if drop is None else [(j, y) for j, y in got if not y == drop]
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +178,19 @@ def ewise_mult(a: CompressedMatrix, b: CompressedMatrix, op: BinaryOp) -> Compre
             f"ewise_mult: shapes {a.nrows}x{a.ncols} and {b.nrows}x{b.ncols} differ"
         )
     _require_domain(op.domain, a, b)
-    ar = reorient(a, ROW)
-    br = reorient(b, ROW)
-    out_rows = [_intersect(_slice(ar, i), dict(_slice(br, i)), op.eval)
-                for i in range(ar.nrows)]
-    return _from_slices(a.nrows, a.ncols, out_rows, op.domain, ROW, a.orientation)
+    br = reorient(b, a.orientation)
+    fn = op.eval
+    majors: list[int] = []
+    minors: list[int] = []
+    values: list[Any] = []
+    for i in range(_major_dim(a)):
+        other = dict(_slice(br, i))
+        for j, x in _slice(a, i):
+            if j in other:
+                majors.append(i)
+                minors.append(j)
+                values.append(fn(x, other[j]))
+    return _build(a.nrows, a.ncols, a.orientation, majors, minors, values, op.domain)
 
 
 def reduce(a: CompressedMatrix, m: Monoid, axis: str) -> SparseVector:
@@ -252,11 +228,18 @@ def subref(a: CompressedMatrix, rows: Sequence[int], cols: Sequence[int]) -> Com
     """
     _check_index_list(rows, a.nrows, "row")
     _check_index_list(cols, a.ncols, "column")
-    ar = reorient(a, ROW)
-    colpos = {c: q for q, c in enumerate(cols)}
-    out_rows = [sorted((colpos[j], x) for j, x in _slice(ar, r) if j in colpos)
-                for r in rows]
-    return _from_slices(len(rows), len(cols), out_rows, a.domain, ROW, a.orientation)
+    sel_major, sel_minor = (rows, cols) if a.orientation == ROW else (cols, rows)
+    at = {j: q for q, j in enumerate(sel_minor)}
+    majors: list[int] = []
+    minors: list[int] = []
+    values: list[Any] = []
+    for p, i in enumerate(sel_major):
+        for j, x in _slice(a, i):
+            if j in at:
+                majors.append(p)
+                minors.append(at[j])
+                values.append(x)
+    return _build(len(rows), len(cols), a.orientation, majors, minors, values, a.domain)
 
 
 def subassign(c: CompressedMatrix, rows: Sequence[int], cols: Sequence[int],
@@ -276,16 +259,16 @@ def subassign(c: CompressedMatrix, rows: Sequence[int], cols: Sequence[int],
     _check_index_list(rows, c.nrows, "row")
     _check_index_list(cols, c.ncols, "column")
     _require_domain(c.domain, b)
-    cr, br = reorient(c, ROW), reorient(b, ROW)
-    rowpos = {r: p for p, r in enumerate(rows)}
-    cset = set(cols)
-    # A selected row keeps its entries outside cols and takes B's row in them;
-    # the two column sets are disjoint, so the sort never compares values.
-    out_rows = [sorted([(j, x) for j, x in _slice(cr, i) if j not in cset]
-                       + [(cols[q], x) for q, x in _slice(br, rowpos[i])])
-                if i in rowpos else _slice(cr, i)
-                for i in range(c.nrows)]
-    return _from_slices(c.nrows, c.ncols, out_rows, c.domain, ROW, c.orientation)
+    br = reorient(b, c.orientation)
+    sel_major, sel_minor = (rows, cols) if c.orientation == ROW else (cols, rows)
+    in_major, in_minor = set(sel_major), set(sel_minor)
+    # C's entries outside the region, then B's relabelled into it.
+    majors = list(_major_indices(c.offsets))
+    keep = [i not in in_major or j not in in_minor for i, j in zip(majors, c.minor_indices)]
+    majors = [*compress(majors, keep), *map(sel_major.__getitem__, _major_indices(br.offsets))]
+    minors = [*compress(c.minor_indices, keep), *map(sel_minor.__getitem__, br.minor_indices)]
+    values = [*compress(c.values, keep), *br.values]
+    return _build(c.nrows, c.ncols, c.orientation, majors, minors, values, c.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +289,15 @@ def scale_matrix(a: CompressedMatrix, d: SparseVector, op: BinaryOp,
             f"scale_matrix: factor length {d.length} does not match {expected}"
         )
     _require_domain(op.domain, a, d)
-    ar = reorient(a, ROW)
-    fn = op.eval
-    dmap = dict(d.entries)
-    out_rows = []
-    for i in range(ar.nrows):
-        if axis == "cols":
-            out_rows.append(_intersect(_slice(ar, i), dmap, fn))
-        elif i in dmap:
-            f = dmap[i]
-            out_rows.append(_map(_slice(ar, i), lambda x: fn(x, f)))
-        else:
-            out_rows.append([])
-    return _from_slices(a.nrows, a.ncols, out_rows, op.domain, ROW, a.orientation)
+    factors = dict(d.entries)
+    majors = list(_major_indices(a.offsets))
+    # The factor index is each entry's major index or its minor index.
+    at = majors if (axis == "rows") == (a.orientation == ROW) else a.minor_indices
+    keep = list(map(factors.__contains__, at))
+    values = list(map(op.eval, compress(a.values, keep),
+                      map(factors.__getitem__, compress(at, keep))))
+    return _build(a.nrows, a.ncols, a.orientation, list(compress(majors, keep)),
+                  list(compress(a.minor_indices, keep)), values, op.domain)
 
 
 def scale_vector(v: SparseVector, w: SparseVector, op: BinaryOp) -> SparseVector:
@@ -332,8 +311,9 @@ def scale_vector(v: SparseVector, w: SparseVector, op: BinaryOp) -> SparseVector
             f"scale_vector: lengths {v.length} and {w.length} differ"
         )
     _require_domain(op.domain, v, w)
-    entries = _intersect(v.entries, dict(w.entries), op.eval)
-    return SparseVector(v.length, tuple(entries), op.domain)
+    other = dict(w.entries)
+    entries = tuple((i, op.eval(x, other[i])) for i, x in v.entries if i in other)
+    return SparseVector(v.length, entries, op.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +333,21 @@ def apply_unary(a, f: UnaryOp | IndexUnaryOp, drop_zeros_for=None):
     _require_domain(f.input_domain, a)
     if drop_zeros_for is not None:
         f.output_domain.check_value(drop_zeros_for)
-    indexed = isinstance(f, IndexUnaryOp)
+    m = vector_as_column(a) if isinstance(a, SparseVector) else a
+    if isinstance(f, IndexUnaryOp):
+        majors = _major_indices(m.offsets)
+        at = (majors, m.minor_indices) if m.orientation == ROW else (m.minor_indices, majors)
+        values = list(map(f.eval, m.values, *at))
+    else:
+        values = list(map(f.eval, m.values))
+    if drop_zeros_for is None:
+        out = replace(m, values=tuple(values), domain=f.output_domain)
+    else:
+        keep = list(map(not_, map(eq, values, repeat(drop_zeros_for))))
+        out = _build(m.nrows, m.ncols, m.orientation,
+                     list(compress(_major_indices(m.offsets), keep)),
+                     list(compress(m.minor_indices, keep)), list(compress(values, keep)),
+                     f.output_domain)
     if isinstance(a, SparseVector):
-        ents = (_map_at(a.entries, f.eval, 0, False, drop_zeros_for) if indexed
-                else _map(a.entries, f.eval, drop_zeros_for))
-        return SparseVector(a.length, tuple(ents), f.output_domain)
-    if drop_zeros_for is None and not indexed:
-        return replace(a, values=tuple(f.eval(v) for v in a.values), domain=f.output_domain)
-    out = [_map_at(_slice(a, i), f.eval, i, a.orientation == ROW, drop_zeros_for) if indexed
-           else _map(_slice(a, i), f.eval, drop_zeros_for) for i in range(_major_dim(a))]
-    return _from_slices(a.nrows, a.ncols, out, f.output_domain, a.orientation, a.orientation)
+        return SparseVector(a.length, tuple(zip(out.minor_indices, out.values)), out.domain)
+    return out

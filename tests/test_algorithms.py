@@ -127,6 +127,8 @@ def test_bfs_source_validation():
         bfs(a, [3])
     with pytest.raises(IndexRangeError):
         bfs(a, [-1])
+    with pytest.raises(IndexRangeError, match=r"^bfs source index True out of range \[0, 3\)$"):
+        bfs(a, [True])
     with pytest.raises(DuplicateIndexError):
         bfs(a, [0, 0])
     with pytest.raises(PreconditionError):

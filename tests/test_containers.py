@@ -71,6 +71,8 @@ def test_duplicate_free_input_is_sorted_not_changed():
 def test_out_of_range_triple_reports_position():
     with pytest.raises(IndexRangeError, match="triple 1"):
         build_from_triples(2, 2, [(0, 0, 1), (5, 0, 1)], plus_monoid(INT64))
+    with pytest.raises(IndexRangeError, match=r"^triple 1: position \(0, True\) out of range"):
+        build_from_triples(2, 2, [(0, 0, 1), (0, True, 1)], plus_monoid(INT64))
 
 
 def test_values_are_domain_checked():
@@ -268,8 +270,8 @@ _UNSORTED = "minor indices must be strictly increasing per slice"
     ((1, 3, ROW, (0, 2), (2, 0), (1, 1)), SgkError, _UNSORTED),
     ((1, 3, ROW, (0, 2), (1, 1), (1, 1)), SgkError, _UNSORTED),
     ((1, 3, ROW, (0, 1), (3,), (1,)), IndexRangeError, "minor index 3 out of range"),
-    # Each slice starts from prev = -1, so a negative index fails the order check first.
-    ((1, 3, ROW, (0, 1), (-1,), (1,)), SgkError, _UNSORTED),
+    # The range check runs before the order check, so a negative index is named as out of range.
+    ((1, 3, ROW, (0, 1), (-1,), (1,)), IndexRangeError, "minor index -1 out of range"),
     # CSC minor indices are rows, so they are bounded by nrows.
     ((2, 3, COL, (0, 0, 0, 1), (2,), (1,)), IndexRangeError, "minor index 2 out of range"),
     # Checks run slice by slice, entry by entry: the earlier fault is named.
@@ -294,6 +296,8 @@ def test_vector_requires_increasing_indices_and_range():
         SparseVector(3, ((1, 5), (0, 2)), INT64)
     with pytest.raises(IndexRangeError):
         SparseVector(3, ((7, 5),), INT64)
+    with pytest.raises(IndexRangeError, match=r"^index -1 out of range for length 3$"):
+        SparseVector(3, ((-1, 5),), INT64)
 
 
 def test_vector_from_entries_rejects_duplicates():
@@ -301,7 +305,7 @@ def test_vector_from_entries_rejects_duplicates():
         vector_from_entries(4, [(1, 5), (1, 6)], INT64)
 
 
-@pytest.mark.parametrize("index", [1.0, "1", None])
+@pytest.mark.parametrize("index", [1.0, "1", None, True])
 def test_vector_from_entries_rejects_a_non_int_index(index):
     with pytest.raises(IndexRangeError, match=r"^vector index .* out of range \[0, 3\)$"):
         vector_from_entries(3, [(0, 1), (index, 2)], INT64)

@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import replace
+from typing import Any, Callable, Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from helpers import (
 from sgk.containers import (
     COL,
     ROW,
+    CompressedMatrix,
     CooMatrix,
     SparseVector,
     Triple,
@@ -648,6 +651,11 @@ def test_slice_kernels_match_dict_evaluation_in_both_orientations(data):
     check(subref(a, rows, cols),
           {(p, q): ca[(r, c)] for p, r in enumerate(rows) for q, c in enumerate(cols)
            if (r, c) in ca})
+    cblock = data.draw(_cells(len(rows), len(cols)))
+    block = _matrix(len(rows), len(cols), cblock, data.draw(st.sampled_from([ROW, COL])))
+    assigned = {(r, c): x for (r, c), x in ca.items() if r not in rows or c not in cols}
+    assigned.update({(rows[p], cols[q]): x for (p, q), x in cblock.items()})
+    check(subassign(a, rows, cols, block), assigned)
     product = {}
     for (i, j), x in sorted(ca.items()):
         for (j2, col), y in sorted(cc.items()):
@@ -771,7 +779,37 @@ def test_a_user_op_without_a_raw_operator_folds_per_step(plain):
 
 
 # ---------------------------------------------------------------------------
-# mxm against the per-slice-pairs body it replaced
+# Reference: the per-slice (minor, value) pair lists every matrix-returning
+# kernel used to build, assembled by _from_slices.
+
+
+def _from_slices(nrows: int, ncols: int,
+                 slices: Iterable[Iterable[tuple[int, Any]]],
+                 domain, built: str, wanted: str) -> CompressedMatrix:
+    """Assemble a matrix from per-slice (minor, val) lists.
+
+    `built` names the orientation the slices are in (ROW: slices are rows,
+    minor indices are columns; COL: the reverse); the result is reoriented
+    to `wanted`.
+    """
+    offsets = [0]
+    minors: list[int] = []
+    values: list[Any] = []
+    for sl in slices:
+        for j, v in sl:
+            minors.append(j)
+            values.append(v)
+        offsets.append(len(minors))
+    out = CompressedMatrix(
+        nrows=nrows,
+        ncols=ncols,
+        orientation=built,
+        offsets=tuple(offsets),
+        minor_indices=tuple(minors),
+        values=tuple(values),
+        domain=domain,
+    )
+    return reorient(out, wanted)
 
 
 def _mxm_by_slice_pairs(a, b, s):
@@ -794,16 +832,20 @@ def _mxm_by_slice_pairs(a, b, s):
                 acc[k] = add(acc.get(k, zero), mul(x, y))
         folded = acc.items() if fit is None else [(k, fit(v)) for k, v in acc.items()]
         out_rows.append(sorted((k, v) for k, v in folded if not v == zero))
-    return kernels._from_slices(a.nrows, b.ncols, out_rows, s.domain, ROW, a.orientation)
+    return _from_slices(a.nrows, b.ncols, out_rows, s.domain, ROW, a.orientation)
 
 
-def _assert_same_product(a, b, s):
-    got, want = mxm(a, b, s), _mxm_by_slice_pairs(a, b, s)
+def _assert_same_matrix(got, want):
     assert (got.nrows, got.ncols, got.orientation, got.domain) == \
         (want.nrows, want.ncols, want.orientation, want.domain)
     assert got.offsets == want.offsets
     assert got.minor_indices == want.minor_indices
     assert repr(got.values) == repr(want.values)
+
+
+def _assert_same_product(a, b, s):
+    got = mxm(a, b, s)
+    _assert_same_matrix(got, _mxm_by_slice_pairs(a, b, s))
     return got
 
 
@@ -856,3 +898,122 @@ def test_mxm_matches_the_slice_pairs_body_where_outputs_fold_to_zero(name, a_val
                                        Triple(1, 1, b_vals[2])), s.domain), orients[1])
     got = _assert_same_product(a, b, s)
     assert [(t.row, t.col) for t in entries_of(got)] == kept
+
+
+# ---------------------------------------------------------------------------
+# The other matrix-returning kernels against their per-slice-pairs bodies
+
+
+def _intersect(pairs: Iterable[tuple[int, Any]], lookup: dict,
+               fn: Callable) -> list[tuple[int, Any]]:
+    """(j, fn(x, lookup[j])) for each (j, x) in `pairs` whose index `lookup` holds."""
+    return [(j, fn(x, lookup[j])) for j, x in pairs if j in lookup]
+
+
+def _map(pairs: Iterable[tuple[int, Any]], fn: Callable,
+         drop=None) -> list[tuple[int, Any]]:
+    """(j, fn(x)) for each (j, x) in `pairs`, leaving out results equal to
+    `drop` when it is given."""
+    return [(j, y) for j, x in pairs for y in (fn(x),) if drop is None or not y == drop]
+
+
+def _map_at(pairs: Iterable[tuple[int, Any]], fn: Callable, i: int, row_major: bool,
+            drop=None) -> list[tuple[int, Any]]:
+    """_map for fn(x, row, col) over major slot i, where (row, col) is (i, j)
+    when `row_major` and (j, i) otherwise."""
+    got = [(j, fn(x, i, j) if row_major else fn(x, j, i)) for j, x in pairs]
+    return got if drop is None else [(j, y) for j, y in got if not y == drop]
+
+
+def _ewise_mult_by_slice_pairs(a, b, op):
+    ar = reorient(a, ROW)
+    br = reorient(b, ROW)
+    out_rows = [_intersect(_slice(ar, i), dict(_slice(br, i)), op.eval)
+                for i in range(ar.nrows)]
+    return _from_slices(a.nrows, a.ncols, out_rows, op.domain, ROW, a.orientation)
+
+
+def _subref_by_slice_pairs(a, rows, cols):
+    ar = reorient(a, ROW)
+    colpos = {c: q for q, c in enumerate(cols)}
+    out_rows = [sorted((colpos[j], x) for j, x in _slice(ar, r) if j in colpos)
+                for r in rows]
+    return _from_slices(len(rows), len(cols), out_rows, a.domain, ROW, a.orientation)
+
+
+def _subassign_by_slice_pairs(c, rows, cols, b):
+    cr, br = reorient(c, ROW), reorient(b, ROW)
+    rowpos = {r: p for p, r in enumerate(rows)}
+    cset = set(cols)
+    out_rows = [sorted([(j, x) for j, x in _slice(cr, i) if j not in cset]
+                       + [(cols[q], x) for q, x in _slice(br, rowpos[i])])
+                if i in rowpos else _slice(cr, i)
+                for i in range(c.nrows)]
+    return _from_slices(c.nrows, c.ncols, out_rows, c.domain, ROW, c.orientation)
+
+
+def _scale_matrix_by_slice_pairs(a, d, op, axis):
+    ar = reorient(a, ROW)
+    fn = op.eval
+    dmap = dict(d.entries)
+    out_rows = []
+    for i in range(ar.nrows):
+        if axis == "cols":
+            out_rows.append(_intersect(_slice(ar, i), dmap, fn))
+        elif i in dmap:
+            f = dmap[i]
+            out_rows.append(_map(_slice(ar, i), lambda x: fn(x, f)))
+        else:
+            out_rows.append([])
+    return _from_slices(a.nrows, a.ncols, out_rows, op.domain, ROW, a.orientation)
+
+
+def _apply_unary_by_slice_pairs(a, f, drop_zeros_for=None):
+    indexed = isinstance(f, IndexUnaryOp)
+    if isinstance(a, SparseVector):
+        ents = (_map_at(a.entries, f.eval, 0, False, drop_zeros_for) if indexed
+                else _map(a.entries, f.eval, drop_zeros_for))
+        return SparseVector(a.length, tuple(ents), f.output_domain)
+    if drop_zeros_for is None and not indexed:
+        return replace(a, values=tuple(f.eval(v) for v in a.values), domain=f.output_domain)
+    out = [_map_at(_slice(a, i), f.eval, i, a.orientation == ROW, drop_zeros_for) if indexed
+           else _map(_slice(a, i), f.eval, drop_zeros_for) for i in range(kernels._major_dim(a))]
+    return _from_slices(a.nrows, a.ncols, out, f.output_domain, a.orientation, a.orientation)
+
+
+# Signed zeros (which equal the drop value 0.0 either way), NaN (which equals
+# nothing, so it is kept) and infinities.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
+_NEGATE = UnaryOp("negate", FLOAT64, FLOAT64, lambda x: -x)
+# 0 * x is a signed zero or NaN; i - 2j reads both indices unequally.
+_SCALED_AT = IndexUnaryOp("scaled_at", FLOAT64, FLOAT64, lambda x, i, j: x * (i - 2 * j))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_rewritten_kernels_match_their_slice_pairs_bodies(data):
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+
+    def factors(length):
+        entries = data.draw(st.dictionaries(st.integers(0, length - 1), _EDGE_FLOATS,
+                                            max_size=length)) if length else {}
+        return SparseVector(length, tuple(sorted(entries.items())), FLOAT64)
+
+    a, b = (_operand(data, n, k, FLOAT64, _EDGE_FLOATS) for _ in range(2))
+    rows, cols = data.draw(_picks(n)), data.draw(_picks(k))
+    _assert_same_matrix(ewise_mult(a, b, _MINUS), _ewise_mult_by_slice_pairs(a, b, _MINUS))
+    _assert_same_matrix(subref(a, rows, cols), _subref_by_slice_pairs(a, rows, cols))
+    block = _operand(data, len(rows), len(cols), FLOAT64, _EDGE_FLOATS)
+    _assert_same_matrix(subassign(a, rows, cols, block),
+                        _subassign_by_slice_pairs(a, rows, cols, block))
+    for axis, length in (("rows", n), ("cols", k)):
+        d = factors(length)
+        _assert_same_matrix(scale_matrix(a, d, _MINUS, axis),
+                            _scale_matrix_by_slice_pairs(a, d, _MINUS, axis))
+    v = factors(n)
+    for f in (_NEGATE, _SCALED_AT):
+        for drop in (None, 0.0, -0.0, math.nan):
+            _assert_same_matrix(apply_unary(a, f, drop), _apply_unary_by_slice_pairs(a, f, drop))
+            got, want = apply_unary(v, f, drop), _apply_unary_by_slice_pairs(v, f, drop)
+            assert (got.length, got.domain) == (want.length, want.domain)
+            assert repr(got.entries) == repr(want.entries)
