@@ -5,6 +5,12 @@ the coordinate format is handled, with general or symmetric symmetry.
 Symmetric files must store the lower triangle (row >= column) and are
 expanded to the full pattern on read, mirroring off-diagonal entries only.
 Duplicate entries, in either format, collapse by addition.
+
+Both readers take their data lines in blocks of _BLOCK lines.  A block
+whose every line is a valid entry is parsed a column at a time; any other
+block, one holding a blank, comment or bad line, goes through the per-line
+loop, which skips the first two and raises the error that names the first
+bad line.  Entries keep their input order either way.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import ge, ne
 from typing import IO, Iterable, NoReturn
 
 from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble, _slice,
@@ -82,29 +90,94 @@ def _parse_index(token: str, upper: int, what: str, lineno: int) -> int:
     return k - 1
 
 
-class _DataLines:
-    """The data lines of a text stream as (lineno, tokens) pairs.
+# Data lines per block (see the module docstring).  Larger blocks parse no
+# faster and keep more token strings alive at once.
+_BLOCK = 2**10
 
-    Blank lines and lines starting with `comment` are skipped; numbering
-    continues from `lineno`.  Once the stream is exhausted `lineno` is the
-    number of its last line, data or not, for errors raised at the end of
-    input; `text` is the last data line yielded, stripped.
-    """
 
-    def __init__(self, lines: Iterable[str], comment: str, lineno: int = 0):
-        self._lines = iter(lines)
-        self._comment = comment
-        self.lineno = lineno
-        self.text = ""
+def _tokens(raw: str, comment: str) -> list[str]:
+    """The tokens of a data line; none for a blank or `comment` line."""
+    tokens = raw.split()
+    return tokens if tokens and not tokens[0].startswith(comment) else []
 
-    def __iter__(self):
-        lineno = self.lineno
-        for lineno, raw in enumerate(self._lines, lineno + 1):
-            text = raw.strip()
-            if text and not text.startswith(self._comment):
-                self.text = text
-                yield lineno, text.split()
-        self.lineno = lineno
+
+def _columns(block: list[str], want: int, comment: str) -> list[list[str]] | None:
+    """The `want` token columns of a block whose every line holds `want`
+    tokens and no `comment` character; None for any other block."""
+    text = "\n".join(block)
+    if comment in text:
+        return None
+    flat = text.split()
+    if (len(flat) != want * len(block)
+            or list(map(len, map(str.split, block))).count(want) != len(block)):
+        return None
+    return [flat[k::want] for k in range(want)]
+
+
+def _mm_block(block: list[str], field: str, want: int, nrows: int, ncols: int,
+              symmetric: bool) -> tuple[list, list, list] | None:
+    """The 0-based rows and columns and the values of a block of valid
+    Matrix Market entries; None when some line is not one."""
+    columns = _columns(block, want, "%")
+    if columns is None:
+        return None
+    try:
+        rows = list(map(int, columns[0]))
+        cols = list(map(int, columns[1]))
+        if field == "real":
+            vals = list(map(float, columns[2]))
+            ok = all(map(math.isfinite, vals))
+        elif field == "integer":
+            vals, ok = list(map(int, columns[2])), True
+        elif field == "complex":
+            vals = list(map(complex, map(float, columns[2]), map(float, columns[3])))
+            ok = all(map(cmath.isfinite, vals))
+        else:
+            vals, ok = [1] * len(block), True
+    except ValueError:
+        return None
+    if not (ok and 1 <= min(rows) and max(rows) <= nrows and 1 <= min(cols)
+            and max(cols) <= ncols and (not symmetric or all(map(ge, rows, cols)))):
+        return None
+    return [r - 1 for r in rows], [c - 1 for c in cols], vals
+
+
+def _edge_block(block: list[str], want: int) -> tuple[list, list, list, int] | None:
+    """The tails, heads and weights of a block of valid edge lines `want`
+    columns wide, and its largest vertex index; None when some line is not
+    one."""
+    columns = _columns(block, want, "#")
+    if columns is None:
+        return None
+    try:
+        tails = list(map(int, columns[0]))
+        heads = list(map(int, columns[1]))
+        weights = list(map(float, columns[2])) if want == 3 else [1] * len(block)
+    except ValueError:
+        return None
+    top = max(max(tails), max(heads))
+    if (min(tails) < 0 or min(heads) < 0 or top >= MAX_DIMENSION
+            or want == 3 and not all(map(math.isfinite, weights))):
+        return None
+    return tails, heads, weights, top
+
+
+def _extend(out: tuple[list, list, list], rows: list, cols: list, vals: list,
+            mirror: bool) -> None:
+    """Append parallel entries to `out`'s three lists; with `mirror`, each
+    entry off the diagonal is followed by its mirror, so that repeated
+    positions fold in input order."""
+    if not mirror:
+        for dst, src in zip(out, (rows, cols, vals)):
+            dst.extend(src)
+        return
+    keep = [True] * (2 * len(rows))
+    keep[1::2] = map(ne, rows, cols)
+    for dst, first, second in zip(out, (rows, cols, vals), (cols, rows, vals)):
+        both = [None] * len(keep)
+        both[::2] = first
+        both[1::2] = second
+        dst.extend(compress(both, keep))
 
 
 def _refuse_float(token: str, lineno: int, what: str) -> NoReturn:
@@ -131,11 +204,13 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     header = _parse_banner(first, 1)
     domain = _FIELD_DOMAIN[header.field]
 
-    data = _DataLines(lines, "%", lineno=1)
-    entries = iter(data)
-    size_line, size = next(entries, (None, None))
-    if size is None:
-        raise ParseError(data.lineno, "missing size line")
+    size_line = 1
+    for size_line, raw in enumerate(lines, 2):
+        size = _tokens(raw, "%")
+        if size:
+            break
+    else:
+        raise ParseError(size_line, "missing size line")
     if len(size) != 3:
         raise ParseError(size_line, f"size line needs 3 integers (got {len(size)})")
     try:
@@ -154,67 +229,72 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
 
     field = header.field
     want = 2 if field == "pattern" else (4 if field == "complex" else 3)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list = []
+    out = [], [], []
     seen = 0
-    # Each token is parsed inline; the helpers run only on a failed test,
-    # to raise their error.
-    for lineno, tokens in entries:
-        if seen == nnz:
-            raise ParseError(lineno, f"more than the declared {nnz} entries")
-        if len(tokens) != want:
-            raise ParseError(
-                lineno, f"entry needs {want} tokens for field "
-                f"{field!r} (got {len(tokens)})"
-            )
-        try:
-            r = int(tokens[0]) - 1
-            c = int(tokens[1]) - 1
-        except ValueError:
-            r = c = -1
-        if not (0 <= r < nrows and 0 <= c < ncols):
-            r = _parse_index(tokens[0], nrows, "row", lineno)
-            c = _parse_index(tokens[1], ncols, "column", lineno)
-        if field == "real":
-            try:
-                v = float(tokens[2])
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                _refuse_float(tokens[2], lineno, "real value")
-        elif field == "pattern":
-            v = 1
-        elif field == "integer":
-            try:
-                v = int(tokens[2])
-            except ValueError:
-                raise ParseError(lineno, f"invalid integer value {tokens[2]!r}") from None
-        else:
-            try:
-                v = complex(float(tokens[2]), float(tokens[3]))
-            except ValueError:
-                raise ParseError(
-                    lineno, f"invalid complex value {tokens[2]!r} {tokens[3]!r}"
-                ) from None
-            if not cmath.isfinite(v):
-                raise ParseError(lineno, f"non-finite value {tokens[2]!r} {tokens[3]!r}")
-        if symmetric and r < c:
-            raise ParseError(
-                lineno, "symmetric file stores the lower triangle only "
-                f"(entry at row {r + 1} < column {c + 1})"
-            )
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-        if symmetric and r != c:
-            rows.append(c)
-            cols.append(r)
-            vals.append(v)
-        seen += 1
+    start = size_line + 1  # the number of the next block's first line
+    while block := list(islice(lines, _BLOCK)):
+        parsed = seen + len(block) <= nnz and _mm_block(
+            block, field, want, nrows, ncols, symmetric)
+        if not parsed:
+            # The per-line loop.  Each token is parsed inline; the helpers
+            # run only on a failed test, to raise their error.
+            parsed = rows, cols, vals = [], [], []
+            for lineno, raw in enumerate(block, start):
+                tokens = _tokens(raw, "%")
+                if not tokens:
+                    continue
+                if seen + len(rows) == nnz:
+                    raise ParseError(lineno, f"more than the declared {nnz} entries")
+                if len(tokens) != want:
+                    raise ParseError(
+                        lineno, f"entry needs {want} tokens for field "
+                        f"{field!r} (got {len(tokens)})"
+                    )
+                try:
+                    r = int(tokens[0]) - 1
+                    c = int(tokens[1]) - 1
+                except ValueError:
+                    r = c = -1
+                if not (0 <= r < nrows and 0 <= c < ncols):
+                    r = _parse_index(tokens[0], nrows, "row", lineno)
+                    c = _parse_index(tokens[1], ncols, "column", lineno)
+                if field == "real":
+                    try:
+                        v = float(tokens[2])
+                    except ValueError:
+                        v = math.nan
+                    if not math.isfinite(v):
+                        _refuse_float(tokens[2], lineno, "real value")
+                elif field == "pattern":
+                    v = 1
+                elif field == "integer":
+                    try:
+                        v = int(tokens[2])
+                    except ValueError:
+                        raise ParseError(lineno, f"invalid integer value {tokens[2]!r}") from None
+                else:
+                    try:
+                        v = complex(float(tokens[2]), float(tokens[3]))
+                    except ValueError:
+                        raise ParseError(
+                            lineno, f"invalid complex value {tokens[2]!r} {tokens[3]!r}"
+                        ) from None
+                    if not cmath.isfinite(v):
+                        raise ParseError(lineno, f"non-finite value {tokens[2]!r} {tokens[3]!r}")
+                if symmetric and r < c:
+                    raise ParseError(
+                        lineno, "symmetric file stores the lower triangle only "
+                        f"(entry at row {r + 1} < column {c + 1})"
+                    )
+                rows.append(r)
+                cols.append(c)
+                vals.append(v)
+        seen += len(parsed[0])
+        _extend(out, *parsed, symmetric)
+        start += len(block)
     if seen != nnz:
-        raise ParseError(data.lineno, f"declared {nnz} entries but found {seen}")
-    coo = _assemble(nrows, ncols, rows, cols, vals, plus_monoid(domain))
+        raise ParseError(start - 1, f"declared {nnz} entries but found {seen}")
+    coo = _assemble(nrows, ncols, *out, plus_monoid(domain))
     return coo, MatrixDescriptor(symmetric=symmetric)
 
 
@@ -290,49 +370,56 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
     undirected flag mirrors every edge between distinct endpoints;
     self-loops are stored once either way.
     """
+    lines = iter(stream)
     want = 0
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list = []
     top = -1
-    data = _DataLines(stream, "#")
-    for lineno, tokens in data:
-        if not want:
-            want = 3 if len(tokens) == 3 else 2
-        if len(tokens) != want:
-            raise ParseError(
-                lineno, f"expected {want} columns (got {len(tokens)})"
-            )
-        try:
-            u = int(tokens[0])
-            v = int(tokens[1])
-        except ValueError:
-            raise ParseError(lineno, f"invalid vertex index in {data.text!r}") from None
-        if u < 0 or v < 0:
-            raise IndexRangeError(
-                f"line {lineno}: negative vertex index {min(u, v)}"
-            )
-        if want == 3:
-            try:
-                w = float(tokens[2])
-            except ValueError:
-                w = math.nan
-            if not math.isfinite(w):
-                _refuse_float(tokens[2], lineno, "weight")
+    out = [], [], []
+    start = 1  # the number of the next block's first line
+    while block := list(islice(lines, _BLOCK)):
+        width = want or (3 if len(block[0].split()) == 3 else 2)
+        parsed = _edge_block(block, width)
+        if parsed:
+            want, top = width, max(top, parsed[3])
         else:
-            w = 1
-        if u > top or v > top:
-            top = max(u, v)
-            if top >= MAX_DIMENSION:
-                raise ParseError(
-                    lineno, f"vertex index {top} needs a dimension above the limit {MAX_DIMENSION}"
-                )
-        rows.append(u)
-        cols.append(v)
-        vals.append(w)
-        if undirected and u != v:
-            rows.append(v)
-            cols.append(u)
-            vals.append(w)
+            # The per-line loop.
+            parsed = rows, cols, vals = [], [], []
+            for lineno, raw in enumerate(block, start):
+                tokens = _tokens(raw, "#")
+                if not tokens:
+                    continue
+                if not want:
+                    want = 3 if len(tokens) == 3 else 2
+                if len(tokens) != want:
+                    raise ParseError(
+                        lineno, f"expected {want} columns (got {len(tokens)})"
+                    )
+                try:
+                    u = int(tokens[0])
+                    v = int(tokens[1])
+                except ValueError:
+                    raise ParseError(lineno, f"invalid vertex index in {raw.strip()!r}") from None
+                if u < 0 or v < 0:
+                    raise IndexRangeError(
+                        f"line {lineno}: negative vertex index {min(u, v)}"
+                    )
+                if want == 3:
+                    try:
+                        w = float(tokens[2])
+                    except ValueError:
+                        w = math.nan
+                    if not math.isfinite(w):
+                        _refuse_float(tokens[2], lineno, "weight")
+                else:
+                    w = 1
+                if u > top or v > top:
+                    top = max(u, v)
+                    if top >= MAX_DIMENSION:
+                        raise ParseError(lineno, f"vertex index {top} needs a dimension "
+                                         f"above the limit {MAX_DIMENSION}")
+                rows.append(u)
+                cols.append(v)
+                vals.append(w)
+        _extend(out, *parsed[:3], undirected)
+        start += len(block)
     n = top + 1
-    return _assemble(n, n, rows, cols, vals, plus_monoid(FLOAT64 if want == 3 else INT64))
+    return _assemble(n, n, *out, plus_monoid(FLOAT64 if want == 3 else INT64))

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -588,16 +589,19 @@ _FUZZ_COMMANDS = (["info"], ["cc"], ["degrees", "--dir", "in"], ["info", "--undi
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_FUZZ_TEXTS, command=st.sampled_from(_FUZZ_COMMANDS))
-def test_fuzzed_inputs_end_in_an_exit_code_and_one_error_line(tmp_path, text, command):
-    """Short texts mixing both formats' words through the CLI: no run raises,
+@given(text=_FUZZ_TEXTS, command=st.sampled_from(_FUZZ_COMMANDS),
+       block=st.sampled_from((io_formats._BLOCK, 1, 2)))
+def test_fuzzed_inputs_end_in_an_exit_code_and_one_error_line(tmp_path, text, command, block):
+    """Short texts mixing both formats' words through the CLI, read in the
+    readers' default blocks or in blocks of one or two lines: no run raises,
     every run exits 0-3, and a failed run prints exactly one error line."""
     path = tmp_path / "fuzz.txt"
     path.write_text(text)
     argv = [command[0], str(path)] + [
         a.format(out=tmp_path / "out.mtx", file=path) for a in command[1:]]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.object(io_formats, "_BLOCK", block)):
         code = run(argv)
     assert code in (0, 1, 2, 3)
     if code:

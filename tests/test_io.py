@@ -2,9 +2,10 @@ import cmath
 import io
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import coo_matrices, sampler_for
@@ -33,7 +34,10 @@ from sgk.errors import (
     UnserializableDomainError,
 )
 from sgk.io_formats import (
+    _FIELDS,
     MatrixMarketHeader,
+    _columns,
+    _tokens,
     read_edge_list,
     read_matrix_market,
     serializable_field,
@@ -43,6 +47,14 @@ from sgk.io_formats import (
 
 def mm(text: str):
     return read_matrix_market(io.StringIO(text))
+
+
+@pytest.fixture(params=[None, 1, 2], ids=["block-default", "block-1", "block-2"])
+def block(request, monkeypatch):
+    """Runs a test with the readers' default block size and with blocks of
+    one and two lines, so that its texts span several blocks."""
+    if request.param:
+        monkeypatch.setattr(io_formats, "_BLOCK", request.param)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +529,7 @@ _BANNER = "%%MatrixMarket matrix coordinate real general\n"
     (el, "0 1 x\ny 1 2\n", "line 1: invalid weight 'x'"),
     (el, "0 1 inf\n-1 2 3\n", "line 1: non-finite weight 'inf'"),
 ])
-def test_reader_errors_name_the_line_and_quote_it(read, text, message):
+def test_reader_errors_name_the_line_and_quote_it(block, read, text, message):
     """End-of-input errors name the last line read, blank or comment lines
     included, and a bad vertex index quotes the whole stripped line."""
     with pytest.raises(ParseError) as e:
@@ -553,7 +565,7 @@ _INTEGER = "%%MatrixMarket matrix coordinate integer general\n"
     (mm, _INTEGER + "2 2 2\n1 1 9223372036854775808\n2 2 x\n", ParseError,
      "line 4: invalid integer value 'x'"),
 ])
-def test_reader_range_and_domain_errors(read, text, error, message):
+def test_reader_range_and_domain_errors(block, read, text, error, message):
     with pytest.raises(error) as e:
         read(text)
     assert type(e.value) is error and str(e.value) == message
@@ -581,7 +593,7 @@ def test_edge_list_dimension_tracks_largest_index():
     (el, "0 3\n1 2\n2 1\n3 5\n", "line 4: vertex index 5 needs a dimension above the limit 4"),
     (el, "3 0\n1 4\n", "line 2: vertex index 4 needs a dimension above the limit 4"),
 ])
-def test_readers_refuse_dimensions_above_the_limit(monkeypatch, read, text, message):
+def test_readers_refuse_dimensions_above_the_limit(block, monkeypatch, read, text, message):
     monkeypatch.setattr(io_formats, "MAX_DIMENSION", 4)
     with pytest.raises(ParseError) as e:
         read(text)
@@ -595,3 +607,196 @@ def test_readers_accept_dimensions_at_the_limit(monkeypatch):
     assert (el("3 0\n").nrows, el("0 3\n", undirected=True).ncols) == (4, 4)
     with pytest.raises(IndexRangeError, match="line 1: negative vertex index -1"):
         el("9 -1\n")
+
+
+# ---------------------------------------------------------------------------
+# Block parsing against the per-line loop
+
+
+def _outcome(read, source):
+    """What reading `source` gives: the matrix with each value's repr, or
+    the exception class and message."""
+    try:
+        m = read(source)
+    except Exception as e:  # the class and message are the outcome
+        return type(e), str(e)
+    coo = m[0] if isinstance(m, tuple) else m
+    return (coo.nrows, coo.ncols, coo.domain.kind,
+            [(t.row, t.col, repr(t.val)) for t in coo.triples])
+
+
+def _both_paths(read, lines, block_size, newline):
+    """The outcome of `read` on `lines` with blocks of `block_size` lines,
+    and with every block sent through the per-line loop."""
+    def source():
+        if newline is None:  # a list of lines without their newlines
+            return list(lines)
+        return io.StringIO("".join(line + newline for line in lines))
+
+    with mock.patch.object(io_formats, "_BLOCK", block_size):
+        by_blocks = _outcome(read, source())
+        with mock.patch.object(io_formats, "_columns", lambda *args: None):
+            by_lines = _outcome(read, source())
+    return by_blocks, by_lines
+
+
+_MM_VALUES = {
+    # Sums of three or more of these depend on the order they are added in.
+    "real": st.sampled_from(("0.1", "0.2", "0.3", "1e16", "-1e16", "-2.5", "7", "3e-300")),
+    "integer": st.sampled_from(("0", "1", "-7", "12", "9223372036854775807")),
+    "complex": st.sampled_from(("0.1 0.2", "1e16 -0.3", "-0.0 1", "2 3e-300")),
+    "pattern": st.just(""),
+}
+# Lines each reader refuses or skips.  `{v}` is a valid value, `{r}` and
+# `{c}` the first row and column past the declared size; "1 2 {v}" is above
+# the diagonal.  A short line next to a long one keeps the block's token
+# count right.
+_MM_BAD = ("x 1 {v}", "1 y {v}", "0 1 {v}", "1 0 {v}", "{r} 1 {v}", "1 {c} {v}", "1 2 {v}",
+           "1.5 1 {v}", "1 1 nan", "1 1 inf 0", "1 1 z", "1 1 {v} 9", "1", "% comment", "",
+           "   ", "{short}\n{long}")
+_EL_BAD = ("a 1", "0 b", "-1 0", "0 -1", "0 1 x", "0 1 inf", "0", "0 1 2 3", "# comment",
+           "", "\t", "16777216 0", "0 16777216", "0 1.5", "{short}\n{long}")
+_FILLER = st.sampled_from(("% note", "# note", "", "  \t"))
+_SEPARATORS = st.sampled_from((" ", "\t", "  ", " \t "))
+
+
+def _line(data, tokens):
+    sep = data.draw(_SEPARATORS)
+    pad = data.draw(st.sampled_from(("", " ", "\t")))
+    return pad + sep.join(t for t in tokens if t) + data.draw(st.sampled_from(("", " ")))
+
+
+def _text(data, entry, bad, block_size):
+    """Entry lines drawn by `entry`, with blank and comment lines among
+    them, and up to two of `bad` planted at the first or last line of a
+    block, so that they share it with valid lines."""
+    lines = []
+    for _ in range(data.draw(st.integers(0, 14))):
+        lines.append(entry())
+        if data.draw(st.integers(0, 7)) == 0:
+            lines.append(data.draw(_FILLER))
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(lines) // block_size))
+        at = k * block_size + data.draw(st.sampled_from((0, block_size - 1)))
+        lines[at:at] = data.draw(st.sampled_from(bad)).split("\n")
+    return lines
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_block_path_matches_the_per_line_loop_on_matrix_market(data):
+    field = data.draw(st.sampled_from(_FIELDS))
+    symmetric = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 3))
+    nrows, ncols = (n, n) if symmetric else (n, data.draw(st.integers(1, 3)))
+    values = _MM_VALUES[field]
+
+    def entry():
+        r, c = data.draw(st.integers(1, nrows)), data.draw(st.integers(1, ncols))
+        if symmetric and r < c:
+            r, c = c, r
+        return _line(data, (str(r), str(c), data.draw(values)))
+
+    block_size = data.draw(st.integers(1, 4))
+    want = len(entry().split())
+    bad = [b.format(v=data.draw(values), r=nrows + 1, c=ncols + 1, short=" ".join("1" * (want - 1)),
+                    long=" ".join("1" * (want + 1))) for b in _MM_BAD]
+    lines = _text(data, entry, bad, block_size)
+    nnz = sum(bool(_tokens(line, "%")) for line in lines) + data.draw(st.sampled_from((0, 0, -1, 1)))
+    header = [f"%%MatrixMarket matrix coordinate {field} "
+              f"{'symmetric' if symmetric else 'general'}", f"{nrows} {ncols} {max(nnz, 0)}"]
+    newline = data.draw(st.sampled_from(("\n", "\r\n", None)))
+    by_blocks, by_lines = _both_paths(read_matrix_market, header + lines, block_size, newline)
+    assert by_blocks == by_lines
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_block_path_matches_the_per_line_loop_on_edge_lists(data):
+    weighted = data.draw(st.booleans())
+    want = 3 if weighted else 2
+
+    def entry():
+        u, v = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        return _line(data, (str(u), str(v), data.draw(_MM_VALUES["real"]) if weighted else ""))
+
+    block_size = data.draw(st.integers(1, 4))
+    bad = [b.format(short=" ".join("1" * (want - 1)), long=" ".join("1" * (want + 1)))
+           for b in _EL_BAD]
+    lines = _text(data, entry, bad, block_size)
+    newline = data.draw(st.sampled_from(("\n", "\r\n", None)))
+    undirected = data.draw(st.booleans())
+    by_blocks, by_lines = _both_paths(
+        lambda s: read_edge_list(s, undirected=undirected), lines, block_size, newline)
+    assert by_blocks == by_lines
+
+
+def _planted_texts(entries, bad):
+    """`entries` with one of `bad` planted at each place, for blocks of one
+    to three lines: every place is a block's first or last line for one of
+    those sizes."""
+    for line in bad:
+        for at in range(len(entries) + 1):
+            yield entries[:at] + line.split("\n") + entries[at:]
+
+
+@pytest.mark.parametrize("field", _FIELDS)
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_each_refused_line_matches_the_per_line_loop_anywhere_in_a_block(field, symmetry):
+    value = {"real": "0.1", "integer": "3", "complex": "1e16 -0.3", "pattern": ""}[field]
+    want = 2 + (field != "pattern") + (field == "complex")
+    entries = [f"{r} {c} {value}".strip()
+               for r, c in ((1, 1), (2, 1), (3, 2), (2, 1), (3, 3), (2, 1), (3, 2))]
+    bad = [b.format(v=value, r=4, c=4, short=" ".join("1" * (want - 1)),
+                    long=" ".join("1" * (want + 1))) for b in _MM_BAD]
+    for lines in _planted_texts(entries, bad):
+        header = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", f"3 3 {len(entries)}"]
+        for block_size in (1, 2, 3):
+            by_blocks, by_lines = _both_paths(read_matrix_market, header + lines, block_size, "\n")
+            assert by_blocks == by_lines, (lines, block_size)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("undirected", [False, True])
+def test_each_refused_edge_line_matches_the_per_line_loop_anywhere_in_a_block(weighted, undirected):
+    want = 3 if weighted else 2
+    # (0, 1) sums 1e16, -1e16 and 0.1 in that order only if each mirror
+    # follows its own edge.
+    edges = (("1", "0", "1e16"), ("0", "1", "-1e16"), ("0", "1", "0.1"), ("2", "2", "0.3"),
+             ("1", "0", "0.7"), ("3", "1", "0.5"))
+    entries = [" ".join(edge if weighted else edge[:2]) for edge in edges]
+    bad = [b.format(short=" ".join("1" * (want - 1)), long=" ".join("1" * (want + 1)))
+           for b in _EL_BAD]
+    for lines in _planted_texts(entries, bad):
+        for block_size in (1, 2, 3):
+            by_blocks, by_lines = _both_paths(
+                lambda s: read_edge_list(s, undirected=undirected), lines, block_size, "\n")
+            assert by_blocks == by_lines, (lines, block_size)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", None])
+def test_valid_blocks_are_parsed_by_columns(monkeypatch, newline):
+    """Blocks of valid entries never reach the per-line loop, whatever
+    their line endings; a block with a comment or blank line does, and its
+    neighbours still do not."""
+    monkeypatch.setattr(io_formats, "_BLOCK", 3)
+    parsed = []
+
+    def columns(block, want, comment):
+        found = _columns(block, want, comment)
+        parsed.append(found is not None)
+        return found
+
+    def lines(*lines):
+        return list(lines) if newline is None else [line + newline for line in lines]
+
+    monkeypatch.setattr(io_formats, "_columns", columns)
+    entries = [f"{i % 3 + 1} {i // 3 + 1} {i}.5" for i in range(8)]
+    m, _ = read_matrix_market(lines(_BANNER.strip(), "3 3 8", *entries[:4], "", *entries[4:]))
+    assert parsed == [True, False, True]
+    assert len(m.triples) == 8
+    parsed.clear()
+    m = read_edge_list(lines("0 1 2", "1 0 3", "# c", "2 2 4", "1 2 5", "0 0 1"), undirected=True)
+    assert parsed == [False, True]
+    assert [(t.row, t.col) for t in m.triples] == [
+        (0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
