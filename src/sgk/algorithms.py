@@ -106,16 +106,30 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
 
 def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what: str):
     """Bellman-Ford relaxation x <- x (+) m'x to a fixed point, m' being m or
-    its transpose: each round's product is densified with the add identity
-    and folded into the dense x by the add, so x keeps its own value.  m is
-    put once in the order its products read, so no round reorients."""
+    its transpose, each round multiplying only from the frontier: the
+    entries of x whose value fell in the last round (all of x at first).
+    The add is an exact, idempotent min that keeps the current value on a
+    tie, so a vertex whose value did not fall adds nothing the current
+    values lack, and x after every round is the one the full product gives.  The current values live in a dict,
+    where an absent vertex reads as the add identity.  m is put once in the
+    order its products read, so no round reorients."""
     m = reorient(m, COL if transpose_input else ROW)
+    add, zero = sr.add.op.eval, sr.zero
+    cur = dict(vector_entries(x))
+
+    def fell(pulled, i, _j):
+        old = cur.get(i, zero)
+        new = add(old, pulled)
+        return zero if new == old else new
+
+    fell_op = IndexUnaryOp("fell", x.domain, x.domain, fell)
+    frontier = x
     for _ in range(x.length + 1):
-        pulled = densify_vector(mxv(m, x, sr, transpose_input=transpose_input), sr.zero)
-        nxt = scale_vector(x, pulled, sr.add.op)
-        if vector_entries(nxt) == vector_entries(x):
-            return x
-        x = nxt
+        pulled = mxv(m, frontier, sr, transpose_input=transpose_input)
+        frontier = apply_unary(pulled, fell_op, drop_zeros_for=zero)
+        if not vector_entries(frontier):
+            return vector_from_entries(x.length, cur.items(), x.domain)
+        cur.update(vector_entries(frontier))
     raise InternalInvariantError(what)
 
 
@@ -124,10 +138,12 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     min_plus semiring.
 
     Edge weights must be non-negative (and finite for float domains).  The
-    distances start at the min identity everywhere but the source, and each
-    round keeps the smaller of a vertex's distance and those pulled along
-    its in-edges.  A reachable vertex whose shortest distance reaches the
-    identity (the domain's infinity) cannot be represented and is refused.
+    distances start at the source alone, every other vertex reading as the
+    min identity, and each round keeps the smaller of a vertex's distance
+    and those pulled along its in-edges from the vertices whose distance
+    fell in the last round.  A reachable vertex whose shortest distance
+    reaches the identity (the domain's infinity) cannot be represented and
+    is refused.
     """
     n = _require_square(a, "sssp_minplus")
     d = a.domain
@@ -136,22 +152,22 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
             f"sssp_minplus: weights must be a real numeric domain, got {d.kind}"
         )
     _check_index_list([source], n, "sssp source")
-    entries = entries_of(a)
-    for _r, _c, w in entries:
-        if d.is_float and not math.isfinite(w):
+    is_float = d.is_float
+    zero_w = 0.0 if is_float else 0
+    heaviest = zero_w
+    for _r, _c, w in entries_of(a):
+        if is_float and not math.isfinite(w):
             raise PreconditionError(f"sssp_minplus: non-finite edge weight {w!r}")
         if w < 0:
             raise PreconditionError(f"sssp_minplus: negative edge weight {w!r}")
+        if w > heaviest:
+            heaviest = w
     sr = registry_get(f"min_plus/{d.kind}")
-    zero_w = 0.0 if d.is_float else 0
-    start = densify_vector(vector_from_entries(n, [(source, zero_w)], d), sr.zero)
-    reached = _relax(a, start, sr, True,
-                     "sssp_minplus: distances failed to stabilize in n iterations")
-    dist = apply_unary(reached, UnaryOp("identity", d, d, lambda x: x), drop_zeros_for=sr.zero)
+    dist = _relax(a, vector_from_entries(n, [(source, zero_w)], d), sr, True,
+                  "sssp_minplus: distances failed to stabilize in n iterations")
     # Tropical + is monotone, so a sum reaches the identity only if the largest
     # distance plus the heaviest weight does; then an edge from a reached
     # vertex to an unreached one is a path whose distance overflowed.
-    heaviest = max((w for _r, _c, w in entries), default=zero_w)
     if sr.mul(_vec_total(dist, max_monoid(d)), heaviest) == sr.zero:
         heads = reduce(scale_matrix(a, dist, sr.mul, "rows"), sr.add, "cols")
         if nvals(scale_vector(heads, dist, sr.add.op)) < nvals(heads):
@@ -164,8 +180,9 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     index in its component.
 
     Labels spread along edges with min_select2nd through `_relax`: each
-    round takes the minimum label among a vertex's neighbors (the identity
-    where it has none) and keeps the smaller of that and its own label.
+    round takes the minimum label among a vertex's neighbors whose label
+    fell in the last round (every vertex in the first) and keeps the
+    smaller of that and its own label.
     """
     n = _require_square(a, "connected_components")
     sr = registry_get("min_select2nd")

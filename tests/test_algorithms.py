@@ -36,6 +36,7 @@ from sgk.containers import (
     Triple,
     build_from_triples,
     check_invariants,
+    densify_vector,
     entries_of,
     is_symmetric,
     nvals,
@@ -201,6 +202,12 @@ def test_sssp_rejects_bad_weights_and_domains():
         sssp_minplus(digraph(2, [(0, 1)]), 0)
     with pytest.raises(IndexRangeError, match=r"sssp source index 2 out of range \[0, 2\)"):
         sssp_minplus(weighted(2, [(0, 1, 1.0)]), 2)
+    # With two bad weights, the first in row order is named, whatever the orientation.
+    for edges, message in [([(0, 1, -1.0), (1, 0, math.inf)], "negative edge weight -1.0"),
+                           ([(0, 1, math.nan), (1, 0, -2.0)], "non-finite edge weight nan"),
+                           ([(0, 1, 1.0), (1, 0, -math.inf)], "non-finite edge weight -inf")]:
+        with pytest.raises(PreconditionError, match=f"^sssp_minplus: {message}$"):
+            sssp_minplus(reorient(weighted(2, edges), COL), 0)
 
 
 def test_sssp_distances_satisfy_triangle_inequality():
@@ -479,6 +486,95 @@ def test_relaxations_orient_their_matrix_once(name, orientation, reorients):
     assert vector_entries(got) == vector_entries(algorithm(ring))
     assert vector_as_dict(got) == result_on_ring(n)
     assert len(changed) == reorients
+
+
+def _reference_relax(m, x, sr, transpose_input):
+    """Reference: the previous `_relax`, which relaxed every vertex of a dense
+    x each round: the product densified with the add identity, then folded
+    into x by a `scale_vector` add.  Returns the fixed point and the number
+    of products formed."""
+    for rounds in range(1, x.length + 2):
+        pulled = densify_vector(mxv(m, x, sr, transpose_input=transpose_input), sr.zero)
+        nxt = scale_vector(x, pulled, sr.add.op)
+        if vector_entries(nxt) == vector_entries(x):
+            return x, rounds
+        x = nxt
+    raise AssertionError("reference relaxation failed to stabilize")
+
+
+def _entry_reprs(v):
+    return [(i, repr(x)) for i, x in vector_entries(v)]
+
+
+# Weights of the frontier differential tests: float zeros of both signs, and
+# int64 weights near the bound, whose path sums saturate.
+_RELAX_WEIGHTS = {
+    FLOAT64: st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0),
+    INT64: st.integers(0, 9) | st.sampled_from([2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1]),
+}
+
+
+@st.composite
+def _weighted_digraphs(draw, domain):
+    """`domain`-weighted digraphs of up to 12 vertices, in either
+    orientation, with a source: a walk from the source plus sparse random
+    edges, so there are long paths and unreachable vertices."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    source = draw(vertex)
+    walk = [source] + draw(st.lists(vertex, max_size=n))
+    cells = sorted(set(zip(walk, walk[1:])) | draw(st.sets(st.tuples(vertex, vertex),
+                                                           max_size=n)))
+    triples = tuple(Triple(u, v, draw(_RELAX_WEIGHTS[domain])) for u, v in cells)
+    a = to_compressed(CooMatrix(n, n, triples, domain), draw(st.sampled_from((ROW, COL))))
+    return a, source, [[v for u, v in cells if u == w] for w in range(n)]
+
+
+@pytest.mark.parametrize("domain", [FLOAT64, INT64])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_sssp_matches_the_dense_reference_relaxation(domain, data):
+    a, source, adjacency = data.draw(_weighted_digraphs(domain))
+    sr = registry_get(f"min_plus/{domain.kind}")
+    start = vector_from_entries(a.nrows, [(source, 0.0 if domain.is_float else 0)], domain)
+    reached, rounds = _reference_relax(a, densify_vector(start, sr.zero), sr, True)
+    want = [(i, repr(x)) for i, x in vector_entries(reached) if x != sr.zero]
+    products = []
+
+    def counted_mxv(*args, **kwargs):
+        products.append(args)
+        return mxv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxv", counted_mxv)
+        if {i for i, _x in want} == set(oracle_bfs(adjacency, [source])):
+            assert _entry_reprs(sssp_minplus(a, source)) == want
+        else:
+            # A reachable vertex's distance saturated to the identity.
+            with pytest.raises(PreconditionError, match=f"overflows {domain.kind}$"):
+                sssp_minplus(a, source)
+    assert len(products) == rounds
+
+
+@settings(max_examples=200)
+@given(_component_graphs())
+def test_components_match_the_dense_reference_relaxation(case):
+    a, n, _edges = case
+    sr = registry_get("min_select2nd")
+    pat = apply_unary(a, UnaryOp("const_one", a.domain, INT64, lambda _v: 1))
+    labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
+    want, rounds = _reference_relax(pat, labels, sr, False)
+    products = []
+
+    def counted_mxv(*args, **kwargs):
+        products.append(args)
+        return mxv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxv", counted_mxv)
+        got = connected_components(a)
+    assert _entry_reprs(got) == _entry_reprs(want)
+    assert len(products) == rounds
 
 
 def _pattern_complement(v):
