@@ -12,7 +12,7 @@ create)` as CHANGE to measure uncommitted work).  Both are resolved to
 full commit ids before any run, and every report header and the JSON dump
 name those ids; a revision that names no commit exits with one `error:`
 line.  Each is extracted with
-`git archive REV | tar -x` into a temporary directory, and
+`git archive REV | tar -x` into a path of the same length for both, and
 `perfbench/run.py --trace 0` runs from each extracted tree, so each side
 runs its own benchmark against its own src/.  Every run lasts the
 `run_seconds` that both trees' BENCHMARK.json declare.  Pair k runs BASE first when k
@@ -250,7 +250,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         trees = {}
         for side in ("base", "change"):
-            trees[side] = os.path.join(tmp, side)
+            # One-letter tree names: paths of unequal length skew peak_rss_mb.
+            trees[side] = os.path.join(tmp, side[0])
             os.mkdir(trees[side])
             extract(getattr(args, side), trees[side])
         if not args.counters:

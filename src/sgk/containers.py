@@ -28,6 +28,11 @@ COL = "col"
 _ORIENTATIONS = (ROW, COL)
 
 
+def _all_ints(values: Iterable) -> bool:
+    """Whether every value is an int and none is a bool, in one pass over `values`."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
+
+
 class Triple(NamedTuple):
     """One stored matrix entry."""
 
@@ -57,6 +62,8 @@ class CooMatrix:
     domain: ValueDomain
 
     def __post_init__(self):
+        if not _all_ints((self.nrows, self.ncols)):
+            raise DimensionMismatchError("matrix dimensions must be ints")
         if self.nrows < 0 or self.ncols < 0:
             raise DimensionMismatchError("matrix dimensions must be non-negative")
         prev = None
@@ -87,6 +94,8 @@ class CompressedMatrix:
     def __post_init__(self):
         if self.orientation not in _ORIENTATIONS:
             raise ValueError(f"orientation must be one of {_ORIENTATIONS}")
+        if not _all_ints((self.nrows, self.ncols)):
+            raise DimensionMismatchError("matrix dimensions must be ints")
         if self.nrows < 0 or self.ncols < 0:
             raise DimensionMismatchError("matrix dimensions must be non-negative")
         major = self.nrows if self.orientation == ROW else self.ncols
@@ -94,6 +103,8 @@ class CompressedMatrix:
         nnz = len(self.minor_indices)
         if len(self.values) != nnz:
             raise SgkError("minor_indices and values must have equal length")
+        if not _all_ints(self.offsets):
+            raise SgkError("offsets must be ints")
         if len(self.offsets) != major + 1 or self.offsets[0] != 0 or self.offsets[-1] != nnz:
             raise SgkError("offsets must span [0, nnz] with one slot per major slice")
         minors = self.minor_indices
@@ -120,6 +131,8 @@ class SparseVector:
     domain: ValueDomain
 
     def __post_init__(self):
+        if not _all_ints((self.length,)):
+            raise DimensionMismatchError("vector length must be an int")
         if self.length < 0:
             raise DimensionMismatchError("vector length must be non-negative")
         prev = -1

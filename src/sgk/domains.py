@@ -63,12 +63,12 @@ def _is_single(value) -> bool:
 
 # In the order of ALL_DOMAINS, which names its members below.
 _KINDS = {
-    "boolean": _Kind("boolean", False, True, lambda v: isinstance(v, bool)),
+    "boolean": _Kind("boolean", False, True, bool.__instancecheck__),
     **{f"{sign}-int-{bits}": _integer(bits, sign == "signed")
        for sign in ("signed", "unsigned") for bits in (8, 16, 32, 64)},
     "float-single": _Kind("float", -math.inf, math.inf, _is_single, _round_to_single),
-    "float-double": _Kind("float", -math.inf, math.inf, lambda v: isinstance(v, float)),
-    "complex-double": _Kind("complex", None, None, lambda v: isinstance(v, complex)),
+    "float-double": _Kind("float", -math.inf, math.inf, float.__instancecheck__),
+    "complex-double": _Kind("complex", None, None, complex.__instancecheck__),
     # Opaque handles accept any equality-comparable object.
     "opaque-handle": _Kind("opaque", None, None, lambda v: True),
 }

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import ge, ne
-from typing import IO, Iterable, NoReturn
+from typing import IO, Iterable
 
 from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble, _slice,
                          reorient, to_compressed)
@@ -88,6 +88,19 @@ def _parse_index(token: str, upper: int, what: str, lineno: int) -> int:
             f"line {lineno}: {what} index {k} out of bounds [1, {upper}]"
         )
     return k - 1
+
+
+def _parse_float(token: str, lineno: int, what: str) -> float:
+    """The finite float `token` holds.  `what` names the value ("real value",
+    "weight") in the ParseError for a token that does not parse; its last
+    word names a non-finite one."""
+    try:
+        v = float(token)
+    except ValueError:
+        raise ParseError(lineno, f"invalid {what} {token!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {token!r}")
+    return v
 
 
 # Data lines per block (see the module docstring).  Larger blocks parse no
@@ -180,17 +193,6 @@ def _extend(out: tuple[list, list, list], rows: list, cols: list, vals: list,
         dst.extend(compress(both, keep))
 
 
-def _refuse_float(token: str, lineno: int, what: str) -> NoReturn:
-    """Raise the ParseError for a float token a reader refused: invalid when
-    it does not parse, non-finite when it does.  `what` names the value
-    ("real value", "weight"); its last word names a non-finite one."""
-    try:
-        float(token)
-    except ValueError:
-        raise ParseError(lineno, f"invalid {what} {token!r}") from None
-    raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {token!r}")
-
-
 def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescriptor]:
     """Parse a Matrix Market coordinate file into triple form.
 
@@ -236,8 +238,7 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
         parsed = seen + len(block) <= nnz and _mm_block(
             block, field, want, nrows, ncols, symmetric)
         if not parsed:
-            # The per-line loop.  Each token is parsed inline; the helpers
-            # run only on a failed test, to raise their error.
+            # The per-line loop.
             parsed = rows, cols, vals = [], [], []
             for lineno, raw in enumerate(block, start):
                 tokens = _tokens(raw, "%")
@@ -250,21 +251,10 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
                         lineno, f"entry needs {want} tokens for field "
                         f"{field!r} (got {len(tokens)})"
                     )
-                try:
-                    r = int(tokens[0]) - 1
-                    c = int(tokens[1]) - 1
-                except ValueError:
-                    r = c = -1
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    r = _parse_index(tokens[0], nrows, "row", lineno)
-                    c = _parse_index(tokens[1], ncols, "column", lineno)
+                r = _parse_index(tokens[0], nrows, "row", lineno)
+                c = _parse_index(tokens[1], ncols, "column", lineno)
                 if field == "real":
-                    try:
-                        v = float(tokens[2])
-                    except ValueError:
-                        v = math.nan
-                    if not math.isfinite(v):
-                        _refuse_float(tokens[2], lineno, "real value")
+                    v = _parse_float(tokens[2], lineno, "real value")
                 elif field == "pattern":
                     v = 1
                 elif field == "integer":
@@ -402,15 +392,7 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
                     raise IndexRangeError(
                         f"line {lineno}: negative vertex index {min(u, v)}"
                     )
-                if want == 3:
-                    try:
-                        w = float(tokens[2])
-                    except ValueError:
-                        w = math.nan
-                    if not math.isfinite(w):
-                        _refuse_float(tokens[2], lineno, "weight")
-                else:
-                    w = 1
+                w = _parse_float(tokens[2], lineno, "weight") if want == 3 else 1
                 if u > top or v > top:
                     top = max(u, v)
                     if top >= MAX_DIMENSION:

@@ -334,20 +334,19 @@ def apply_unary(a, f: UnaryOp | IndexUnaryOp, drop_zeros_for=None):
     if drop_zeros_for is not None:
         f.output_domain.check_value(drop_zeros_for)
     m = vector_as_column(a) if isinstance(a, SparseVector) else a
+    minors = m.minor_indices
     if isinstance(f, IndexUnaryOp):
         majors = _major_indices(m.offsets)
-        at = (majors, m.minor_indices) if m.orientation == ROW else (m.minor_indices, majors)
+        at = (majors, minors) if m.orientation == ROW else (minors, majors)
         values = list(map(f.eval, m.values, *at))
     else:
         values = list(map(f.eval, m.values))
-    if drop_zeros_for is None:
-        out = replace(m, values=tuple(values), domain=f.output_domain)
-    else:
+    if drop_zeros_for is not None:
         keep = list(map(not_, map(eq, values, repeat(drop_zeros_for))))
-        out = _build(m.nrows, m.ncols, m.orientation,
-                     list(compress(_major_indices(m.offsets), keep)),
-                     list(compress(m.minor_indices, keep)), list(compress(values, keep)),
-                     f.output_domain)
+        minors, values = list(compress(minors, keep)), list(compress(values, keep))
     if isinstance(a, SparseVector):
-        return SparseVector(a.length, tuple(zip(out.minor_indices, out.values)), out.domain)
-    return out
+        return SparseVector(a.length, tuple(zip(minors, values)), f.output_domain)
+    if drop_zeros_for is None:
+        return replace(m, values=tuple(values), domain=f.output_domain)
+    return _build(m.nrows, m.ncols, m.orientation, list(compress(_major_indices(m.offsets), keep)),
+                  minors, values, f.output_domain)

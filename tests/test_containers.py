@@ -249,6 +249,9 @@ def test_coo_rejects_unsorted_or_duplicate_triples():
 def test_coo_rejects_out_of_range():
     with pytest.raises(IndexRangeError):
         CooMatrix(2, 2, (Triple(0, 5, 1),), INT64)
+    for nrows in (2.5, True):
+        with pytest.raises(DimensionMismatchError, match=r"^matrix dimensions must be ints$"):
+            CooMatrix(nrows, 3, (), INT64)
 
 
 _SPAN = "offsets must span [0, nnz] with one slot per major slice"
@@ -278,6 +281,9 @@ _UNSORTED = "minor indices must be strictly increasing per slice"
     ((2, 3, ROW, (0, 2, 3), (0, 7, 1), (1, 1, 1)), IndexRangeError,
      "minor index 7 out of range"),
     ((2, 3, ROW, (0, 2, 3), (1, 0, 7), (1, 1, 1)), SgkError, _UNSORTED),
+    # Dimensions and offsets are ints, and no bool counts as one.
+    ((True, True, ROW, (0, 0), (), ()), DimensionMismatchError, "matrix dimensions must be ints"),
+    ((2, 2, ROW, (0, 1.0, 1), (0,), (1,)), SgkError, "offsets must be ints"),
 ])
 def test_compressed_refusals_name_the_fault(args, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
@@ -298,6 +304,9 @@ def test_vector_requires_increasing_indices_and_range():
         SparseVector(3, ((7, 5),), INT64)
     with pytest.raises(IndexRangeError, match=r"^index -1 out of range for length 3$"):
         SparseVector(3, ((-1, 5),), INT64)
+    for length in (2.5, True):
+        with pytest.raises(DimensionMismatchError, match=r"^vector length must be an int$"):
+            SparseVector(length, (), INT64)
 
 
 def test_vector_from_entries_rejects_duplicates():

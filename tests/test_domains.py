@@ -253,6 +253,7 @@ _EDGES = [
     2.0**-149, 2.0**-150, 3 * 2.0**-151, 1e-300, 5e-324, 1.7976931348623157e308,
     float(2**63), float(2**64), math.nan, math.inf, -math.inf,
     1 + 2j, complex(math.inf, 0), None, "7", (1, 2),
+    type("FloatSubclass", (float,), {})(0.5), type("ComplexSubclass", (complex,), {})(1 + 2j),
 ]
 
 

@@ -182,7 +182,7 @@ def test_ab_pairs_resolves_both_revisions_to_commit_ids_before_any_run(tmp_path,
     monkeypatch.setattr(ab, "ROOT", str(tmp_path))
     assert ab.resolve("HEAD") == ab.resolve(head[:7]) == head
     extracted = []
-    monkeypatch.setattr(ab, "extract", lambda rev, dest: extracted.append(rev))
+    monkeypatch.setattr(ab, "extract", lambda rev, dest: extracted.append((rev, dest)))
     with pytest.raises(SystemExit) as exc:
         ab.main(["HEAD", "no-such-rev", "--workload", "products", "--seed", "3"])
     assert exc.value.code == "error: revision 'no-such-rev' names no commit"
@@ -195,7 +195,10 @@ def test_ab_pairs_resolves_both_revisions_to_commit_ids_before_any_run(tmp_path,
         "correct": True, "failed": 0, "attempted": 1, "metrics": {}})
     assert ab.main(["HEAD", head[:7], "--workload", "products", "--seed", "3",
                     "--counters"]) == 0
-    assert extracted == [head, head]
+    assert [rev for rev, _dest in extracted] == [head, head]
+    # Both trees lie at paths of equal length, which peak_rss_mb depends on.
+    (_, base_dest), (_, change_dest) = extracted
+    assert base_dest != change_dest and len(base_dest) == len(change_dest)
     assert f"products seed 3, base {head} vs change {head}:" in capsys.readouterr().out
     monkeypatch.setattr(ab, "run_once", lambda *a, **k: {
         "correct": True, "failed": 0, "attempted": 1,

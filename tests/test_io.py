@@ -515,7 +515,7 @@ _BANNER = "%%MatrixMarket matrix coordinate real general\n"
     (el, "# c\n\n0\t x\n", "line 3: invalid vertex index in '0\\t x'"),
     (el, "\n0 1 y\n", "line 2: invalid weight 'y'"),
     (el, "0 1 1\n0 1 NaN\n", "line 2: non-finite weight 'NaN'"),
-    # A token the inline parse refuses goes to the helper that names it.
+    # A refused index names its axis; a refused value says why it was refused.
     (mm, _BANNER + "2 2 1\nx 1 1.0\n", "line 3: invalid row index 'x'"),
     (mm, _BANNER + "2 2 1\n1 x 1.0\n", "line 3: invalid column index 'x'"),
     (mm, _BANNER + "2 2 1\n1 1.5 1.0\n", "line 3: invalid column index '1.5'"),
