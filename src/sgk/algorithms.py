@@ -62,6 +62,14 @@ def _pattern(a: CompressedMatrix, domain, one):
     return apply_unary(a, UnaryOp("const_one", a.domain, domain, lambda _v: one))
 
 
+def _symmetric_pattern(a: CompressedMatrix, name: str) -> CompressedMatrix:
+    """The 0/1 INT64 pattern of a, which must be symmetric."""
+    pat = _pattern(a, INT64, 1)
+    if not is_symmetric(pat):
+        raise PreconditionError(f"{name}: adjacency pattern is not symmetric")
+    return pat
+
+
 def _vec_total(v: SparseVector, m: Monoid):
     """Fold all entries of a vector under a monoid (identity when empty)."""
     total = reduce(vector_as_column(v), m, "cols")
@@ -186,11 +194,7 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     """
     n = _require_square(a, "connected_components")
     sr = registry_get("min_select2nd")
-    pat = _pattern(a, INT64, 1)
-    if not is_symmetric(pat):
-        raise PreconditionError(
-            "connected_components: adjacency pattern is not symmetric"
-        )
+    pat = _symmetric_pattern(a, "connected_components")
     labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
     return _relax(pat, labels, sr, False,
                   "connected_components: labels failed to stabilize")
@@ -204,10 +208,7 @@ def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:
     if nvals(apply_unary(a, diagonal, drop_zeros_for=False)):
         raise PreconditionError(f"{name}: graph must have no self-loops")
     sr = registry_get("plus_times/signed-int-64")
-    pat = _pattern(a, INT64, 1)
-    if not is_symmetric(pat):
-        raise PreconditionError(f"{name}: adjacency pattern is not symmetric")
-    return sr, pat
+    return sr, _symmetric_pattern(a, name)
 
 
 def _lower(pat: CompressedMatrix) -> CompressedMatrix:

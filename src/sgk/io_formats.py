@@ -21,11 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import ge, ne
-from typing import IO, Iterable
+from typing import IO, Any, Callable, Iterable, NamedTuple
 
 from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble, _slice,
                          reorient, to_compressed)
-from .domains import COMPLEX128, FLOAT64, INT64
+from .domains import COMPLEX128, FLOAT64, INT64, ValueDomain
 from .errors import IndexRangeError, ParseError, UnserializableDomainError
 from .semirings import plus_monoid
 
@@ -33,15 +33,25 @@ from .semirings import plus_monoid
 # one offset per row or column whether or not the file stores entries there.
 MAX_DIMENSION = 2**24
 
-_FIELDS = ("real", "integer", "complex", "pattern")
-_SYMMETRIES = ("general", "symmetric")
 
-_FIELD_DOMAIN = {
-    "real": FLOAT64,
-    "integer": INT64,
-    "complex": COMPLEX128,
-    "pattern": INT64,
+class _Field(NamedTuple):
+    """What one Matrix Market value field holds."""
+
+    domain: ValueDomain  # the domain a read gives
+    width: int  # tokens per entry line, row and column included
+    parse: Callable[..., Any]  # the value tokens' value; ValueError when they hold none
+    carries: Callable[[Any], bool] | None  # the values it can hold; None for all
+    text: Callable[[Any], str]  # a stored value's text, with its leading space
+
+
+_FIELDS = {
+    "real": _Field(FLOAT64, 3, float, math.isfinite, lambda v: f" {float(v)!r}"),
+    "integer": _Field(INT64, 3, int, None, lambda v: f" {v}"),
+    "complex": _Field(COMPLEX128, 4, lambda re, im: complex(float(re), float(im)),
+                      cmath.isfinite, lambda v: f" {v.real!r} {v.imag!r}"),
+    "pattern": _Field(INT64, 2, lambda: 1, bool, lambda v: ""),
 }
+_SYMMETRIES = ("general", "symmetric")
 
 
 @dataclass(frozen=True)
@@ -90,16 +100,17 @@ def _parse_index(token: str, upper: int, what: str, lineno: int) -> int:
     return k - 1
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
-    """The finite float `token` holds.  `what` names the value ("real value",
-    "weight") in the ParseError for a token that does not parse; its last
-    word names a non-finite one."""
+def _parse_value(tokens: list[str], field: _Field, lineno: int, what: str):
+    """The value `tokens` hold in `field`.  `what` names the value ("real
+    value", "weight") in the ParseError for tokens that hold none; its last
+    word names a value the field cannot carry."""
+    quoted = " ".join(map(repr, tokens))
     try:
-        v = float(token)
+        v = field.parse(*tokens)
     except ValueError:
-        raise ParseError(lineno, f"invalid {what} {token!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {token!r}")
+        raise ParseError(lineno, f"invalid {what} {quoted}") from None
+    if field.carries and not field.carries(v):
+        raise ParseError(lineno, f"non-finite {what.rpartition(' ')[2]} {quoted}")
     return v
 
 
@@ -127,50 +138,50 @@ def _columns(block: list[str], want: int, comment: str) -> list[list[str]] | Non
     return [flat[k::want] for k in range(want)]
 
 
-def _mm_block(block: list[str], field: str, want: int, nrows: int, ncols: int,
-              symmetric: bool) -> tuple[list, list, list] | None:
-    """The 0-based rows and columns and the values of a block of valid
-    Matrix Market entries; None when some line is not one."""
-    columns = _columns(block, want, "%")
+def _entries(block: list[str], field: _Field, comment: str) -> tuple[list, list, list] | None:
+    """The first two token columns of a block, as ints, and the values
+    `field` parses from the rest; None unless every line holds
+    `field.width` tokens and no `comment` character, and every value parses
+    and is one `field` carries."""
+    columns = _columns(block, field.width, comment)
     if columns is None:
         return None
     try:
-        rows = list(map(int, columns[0]))
-        cols = list(map(int, columns[1]))
-        if field == "real":
-            vals = list(map(float, columns[2]))
-            ok = all(map(math.isfinite, vals))
-        elif field == "integer":
-            vals, ok = list(map(int, columns[2])), True
-        elif field == "complex":
-            vals = list(map(complex, map(float, columns[2]), map(float, columns[3])))
-            ok = all(map(cmath.isfinite, vals))
-        else:
-            vals, ok = [1] * len(block), True
+        firsts = list(map(int, columns[0]))
+        seconds = list(map(int, columns[1]))
+        values = (list(map(field.parse, *columns[2:])) if columns[2:]
+                  else [field.parse()] * len(block))
     except ValueError:
         return None
-    if not (ok and 1 <= min(rows) and max(rows) <= nrows and 1 <= min(cols)
-            and max(cols) <= ncols and (not symmetric or all(map(ge, rows, cols)))):
+    if field.carries and not all(map(field.carries, values)):
+        return None
+    return firsts, seconds, values
+
+
+def _mm_block(block: list[str], field: _Field, nrows: int, ncols: int,
+              symmetric: bool) -> tuple[list, list, list] | None:
+    """The 0-based rows and columns and the values of a block of valid
+    Matrix Market entries; None when some line is not one."""
+    parsed = _entries(block, field, "%")
+    if parsed is None:
+        return None
+    rows, cols, vals = parsed
+    if not (1 <= min(rows) and max(rows) <= nrows and 1 <= min(cols) and max(cols) <= ncols
+            and (not symmetric or all(map(ge, rows, cols)))):
         return None
     return [r - 1 for r in rows], [c - 1 for c in cols], vals
 
 
-def _edge_block(block: list[str], want: int) -> tuple[list, list, list, int] | None:
-    """The tails, heads and weights of a block of valid edge lines `want`
-    columns wide, and its largest vertex index; None when some line is not
+def _edge_block(block: list[str], field: _Field) -> tuple[list, list, list, int] | None:
+    """The tails, heads and weights of a block of valid edge lines in
+    `field`, and its largest vertex index; None when some line is not
     one."""
-    columns = _columns(block, want, "#")
-    if columns is None:
+    parsed = _entries(block, field, "#")
+    if parsed is None:
         return None
-    try:
-        tails = list(map(int, columns[0]))
-        heads = list(map(int, columns[1]))
-        weights = list(map(float, columns[2])) if want == 3 else [1] * len(block)
-    except ValueError:
-        return None
+    tails, heads, weights = parsed
     top = max(max(tails), max(heads))
-    if (min(tails) < 0 or min(heads) < 0 or top >= MAX_DIMENSION
-            or want == 3 and not all(map(math.isfinite, weights))):
+    if min(tails) < 0 or min(heads) < 0 or top >= MAX_DIMENSION:
         return None
     return tails, heads, weights, top
 
@@ -204,7 +215,7 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     if first is None:
         raise ParseError(1, "empty stream")
     header = _parse_banner(first, 1)
-    domain = _FIELD_DOMAIN[header.field]
+    field = _FIELDS[header.field]
 
     size_line = 1
     for size_line, raw in enumerate(lines, 2):
@@ -229,14 +240,12 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     if symmetric and nrows != ncols:
         raise ParseError(size_line, "symmetric matrix must be square")
 
-    field = header.field
-    want = 2 if field == "pattern" else (4 if field == "complex" else 3)
     out = [], [], []
     seen = 0
     start = size_line + 1  # the number of the next block's first line
     while block := list(islice(lines, _BLOCK)):
         parsed = seen + len(block) <= nnz and _mm_block(
-            block, field, want, nrows, ncols, symmetric)
+            block, field, nrows, ncols, symmetric)
         if not parsed:
             # The per-line loop.
             parsed = rows, cols, vals = [], [], []
@@ -246,31 +255,14 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
                     continue
                 if seen + len(rows) == nnz:
                     raise ParseError(lineno, f"more than the declared {nnz} entries")
-                if len(tokens) != want:
+                if len(tokens) != field.width:
                     raise ParseError(
-                        lineno, f"entry needs {want} tokens for field "
-                        f"{field!r} (got {len(tokens)})"
+                        lineno, f"entry needs {field.width} tokens for field "
+                        f"{header.field!r} (got {len(tokens)})"
                     )
                 r = _parse_index(tokens[0], nrows, "row", lineno)
                 c = _parse_index(tokens[1], ncols, "column", lineno)
-                if field == "real":
-                    v = _parse_float(tokens[2], lineno, "real value")
-                elif field == "pattern":
-                    v = 1
-                elif field == "integer":
-                    try:
-                        v = int(tokens[2])
-                    except ValueError:
-                        raise ParseError(lineno, f"invalid integer value {tokens[2]!r}") from None
-                else:
-                    try:
-                        v = complex(float(tokens[2]), float(tokens[3]))
-                    except ValueError:
-                        raise ParseError(
-                            lineno, f"invalid complex value {tokens[2]!r} {tokens[3]!r}"
-                        ) from None
-                    if not cmath.isfinite(v):
-                        raise ParseError(lineno, f"non-finite value {tokens[2]!r} {tokens[3]!r}")
+                v = _parse_value(tokens[2:], field, lineno, f"{header.field} value")
                 if symmetric and r < c:
                     raise ParseError(
                         lineno, "symmetric file stores the lower triangle only "
@@ -284,7 +276,7 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
         start += len(block)
     if seen != nnz:
         raise ParseError(start - 1, f"declared {nnz} entries but found {seen}")
-    coo = _assemble(nrows, ncols, *out, plus_monoid(domain))
+    coo = _assemble(nrows, ncols, *out, plus_monoid(field.domain))
     return coo, MatrixDescriptor(symmetric=symmetric)
 
 
@@ -306,28 +298,16 @@ def serializable_field(m) -> str:
     d = csr.domain
     if d.is_opaque:
         raise UnserializableDomainError("opaque-handle values have no text form")
-    if d.is_integer:
-        return "integer"
-    if d.is_boolean:
-        field, ok = "pattern", bool
-    else:
-        field, ok = ("real", math.isfinite) if d.is_float else ("complex", cmath.isfinite)
-    if all(map(ok, csr.values)):
-        return field
-    p, v = next((p, v) for p, v in enumerate(csr.values) if not ok(v))
-    what = ("pattern file cannot store a false value" if field == "pattern"
+    name = ("integer" if d.is_integer else "pattern" if d.is_boolean
+            else "real" if d.is_float else "complex")
+    carries = _FIELDS[name].carries
+    if carries is None or all(map(carries, csr.values)):
+        return name
+    p, v = next((p, v) for p, v in enumerate(csr.values) if not carries(v))
+    what = ("pattern file cannot store a false value" if d.is_boolean
             else f"non-finite value {v!r} has no Matrix Market form")
     row = bisect_right(csr.offsets, p) - 1
     raise UnserializableDomainError(f"{what} (at row {row}, column {csr.minor_indices[p]})")
-
-
-# The text of one stored value, with its leading space, per field.
-_FORMATS = {
-    "pattern": lambda v: "",
-    "integer": lambda v: f" {v}",
-    "real": lambda v: f" {float(v)!r}",
-    "complex": lambda v: f" {v.real!r} {v.imag!r}",
-}
 
 
 def write_matrix_market(m, stream: IO[str]) -> None:
@@ -341,12 +321,17 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     checked before the first write, so a refused write writes nothing.
     """
     csr = _csr(m)
-    field = serializable_field(csr)
-    fmt = _FORMATS[field]
-    stream.write(f"%%MatrixMarket matrix coordinate {field} general\n")
+    name = serializable_field(csr)
+    text = _FIELDS[name].text
+    stream.write(f"%%MatrixMarket matrix coordinate {name} general\n")
     stream.write(f"{csr.nrows} {csr.ncols} {len(csr.values)}\n")
     for i in range(csr.nrows):
-        stream.writelines(f"{i + 1} {j + 1}{fmt(v)}\n" for j, v in _slice(csr, i))
+        stream.writelines(f"{i + 1} {j + 1}{text(v)}\n" for j, v in _slice(csr, i))
+
+
+def _edge_field(tokens: list[str]) -> _Field:
+    """The field of an edge list whose first data line holds `tokens`."""
+    return _FIELDS["real" if len(tokens) == 3 else "pattern"]
 
 
 def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix:
@@ -361,15 +346,15 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
     self-loops are stored once either way.
     """
     lines = iter(stream)
-    want = 0
+    field = None  # set by the first data line
     top = -1
     out = [], [], []
     start = 1  # the number of the next block's first line
     while block := list(islice(lines, _BLOCK)):
-        width = want or (3 if len(block[0].split()) == 3 else 2)
-        parsed = _edge_block(block, width)
+        guess = field or _edge_field(block[0].split())
+        parsed = _edge_block(block, guess)
         if parsed:
-            want, top = width, max(top, parsed[3])
+            field, top = guess, max(top, parsed[3])
         else:
             # The per-line loop.
             parsed = rows, cols, vals = [], [], []
@@ -377,11 +362,10 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
                 tokens = _tokens(raw, "#")
                 if not tokens:
                     continue
-                if not want:
-                    want = 3 if len(tokens) == 3 else 2
-                if len(tokens) != want:
+                field = field or _edge_field(tokens)
+                if len(tokens) != field.width:
                     raise ParseError(
-                        lineno, f"expected {want} columns (got {len(tokens)})"
+                        lineno, f"expected {field.width} columns (got {len(tokens)})"
                     )
                 try:
                     u = int(tokens[0])
@@ -392,7 +376,7 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
                     raise IndexRangeError(
                         f"line {lineno}: negative vertex index {min(u, v)}"
                     )
-                w = _parse_float(tokens[2], lineno, "weight") if want == 3 else 1
+                w = _parse_value(tokens[2:], field, lineno, "weight")
                 if u > top or v > top:
                     top = max(u, v)
                     if top >= MAX_DIMENSION:
@@ -404,4 +388,4 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
         _extend(out, *parsed[:3], undirected)
         start += len(block)
     n = top + 1
-    return _assemble(n, n, *out, plus_monoid(FLOAT64 if want == 3 else INT64))
+    return _assemble(n, n, *out, plus_monoid((field or _FIELDS["pattern"]).domain))

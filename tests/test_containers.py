@@ -177,6 +177,8 @@ def test_reorient_is_involutive_and_lazy():
     assert flipped.orientation == COL
     back = reorient(flipped, ROW)
     assert to_tuples(back).triples == to_tuples(m).triples
+    with pytest.raises(ValueError, match=r"^orientation must be one of \('row', 'col'\)$"):
+        reorient(m, "diag")
 
 
 def test_to_tuples_of_to_compressed_is_identity():
@@ -233,6 +235,9 @@ def test_nvals_and_dims():
     assert nvals(m) == 6
     assert dims(m) == (3, 3)
     assert nvals(SparseVector(4, ((1, 5),), INT64)) == 1
+    for f, arg in ((nvals, [m]), (dims, SparseVector(4, (), INT64)), (entries_of, [])):
+        with pytest.raises(TypeError, match=rf"^{f.__name__} is not defined for {type(arg).__name__}$"):
+            f(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,9 @@ def test_coo_rejects_out_of_range():
     for nrows in (2.5, True):
         with pytest.raises(DimensionMismatchError, match=r"^matrix dimensions must be ints$"):
             CooMatrix(nrows, 3, (), INT64)
+    for shape in ((-1, 2), (2, -1)):
+        with pytest.raises(DimensionMismatchError, match=r"^matrix dimensions must be non-negative$"):
+            CooMatrix(*shape, (), INT64)
 
 
 _SPAN = "offsets must span [0, nnz] with one slot per major slice"
@@ -307,6 +315,8 @@ def test_vector_requires_increasing_indices_and_range():
     for length in (2.5, True):
         with pytest.raises(DimensionMismatchError, match=r"^vector length must be an int$"):
             SparseVector(length, (), INT64)
+    with pytest.raises(DimensionMismatchError, match=r"^vector length must be non-negative$"):
+        SparseVector(-1, (), INT64)
 
 
 def test_vector_from_entries_rejects_duplicates():
@@ -357,6 +367,8 @@ def test_check_invariants_accepts_valid_and_flags_bad_values():
     assert check_invariants(v)
     with pytest.raises(DomainMismatchError, match=r"^value 0\.5 is not in domain signed-int-64$"):
         check_invariants(SparseVector(3, ((0, 1), (2, 0.5)), INT64))
+    with pytest.raises(TypeError, match=r"^no invariants defined for tuple$"):
+        check_invariants(entries_of(m))
 
 
 # ---------------------------------------------------------------------------

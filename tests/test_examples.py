@@ -59,11 +59,23 @@ def test_readme_semiring_table_matches_the_registry():
     assert documented == CANONICAL_NAMES
 
 
-def _ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+def _module(path):
+    spec = importlib.util.spec_from_file_location(Path(path).stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _ab_pairs():
+    return _module(ROOT / "scripts" / "ab_pairs.py")
+
+
+def test_untested_lines_names_the_branch_a_run_never_takes(tmp_path):
+    script = _module(ROOT / "scripts" / "untested_lines.py")
+    path = tmp_path / "sign.py"
+    path.write_text("def sign(x):\n    if x < 0:\n        return -1\n    return 1\n")
+    result, missing = script.untested([path], lambda: _module(path).sign(2))
+    assert (result, missing) == (1, [(path, 3)])
 
 
 def test_ab_pairs_counts_wins_and_applies_the_gain_rule():

@@ -512,6 +512,8 @@ _BANNER = "%%MatrixMarket matrix coordinate real general\n"
     (mm, _BANNER + "2 2 1\n1 1 1.0\n%\n2 2 1.0\n", "line 5: more than the declared 1 entries"),
     (mm, _BANNER + "2 2 1\n1 1 x\n", "line 3: invalid real value 'x'"),
     (mm, _BANNER + "2 2 1\n1 1 -inf\n", "line 3: non-finite value '-inf'"),
+    (mm, _BANNER.replace("real", "complex") + "2 2 1\n1 1 1 x\n",
+     "line 3: invalid complex value '1' 'x'"),
     (el, "# c\n\n0\t x\n", "line 3: invalid vertex index in '0\\t x'"),
     (el, "\n0 1 y\n", "line 2: invalid weight 'y'"),
     (el, "0 1 1\n0 1 NaN\n", "line 2: non-finite weight 'NaN'"),
@@ -685,7 +687,7 @@ def _text(data, entry, bad, block_size):
 @settings(max_examples=200)
 @given(data=st.data())
 def test_block_path_matches_the_per_line_loop_on_matrix_market(data):
-    field = data.draw(st.sampled_from(_FIELDS))
+    field = data.draw(st.sampled_from(tuple(_FIELDS)))
     symmetric = data.draw(st.booleans())
     n = data.draw(st.integers(1, 3))
     nrows, ncols = (n, n) if symmetric else (n, data.draw(st.integers(1, 3)))

@@ -414,6 +414,10 @@ def test_scale_matrix_cols_uses_column_factor():
     d = SparseVector(2, ((1, 10),), INT64)
     out = scale_matrix(m, d, registry_get("plus_times/signed-int-64").mul, "cols")
     assert entries_of(out) == (Triple(0, 1, 30),)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^scale_matrix: factor length 3 does not match 2$"):
+        scale_matrix(m, SparseVector(3, (), INT64), registry_get("plus_times/signed-int-64").mul,
+                     "cols")
 
 
 def test_scale_vector_masks_frontier():
@@ -431,6 +435,8 @@ def test_scale_vector_identity_and_disjoint():
     assert vector_entries(scale_vector(v, ones, op)) == vector_entries(v)
     other = SparseVector(3, ((1, 9),), INT64)
     assert vector_entries(scale_vector(v, other, op)) == ()
+    with pytest.raises(DimensionMismatchError, match=r"^scale_vector: lengths 3 and 4 differ$"):
+        scale_vector(v, SparseVector(4, (), INT64), op)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +484,8 @@ def test_apply_unary_domain_mismatch():
     m = k3()
     with pytest.raises(DomainMismatchError):
         apply_unary(m, UnaryOp("neg", FLOAT64, FLOAT64, lambda x: -x))
+    with pytest.raises(TypeError, match=r"^apply_unary is not defined for CooMatrix$"):
+        apply_unary(to_tuples(m), UnaryOp("neg", INT64, INT64, lambda x: -x))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,9 @@ def test_plus_monoid_rejects_boolean_and_opaque():
         plus_monoid(BOOLEAN)
     with pytest.raises(UnsupportedDomainError):
         plus_monoid(OPAQUE)
+    for domain in (BOOLEAN, OPAQUE):
+        with pytest.raises(UnsupportedDomainError, match=rf"^times is not defined over {domain.kind}$"):
+            times_op(domain)
 
 
 @given(st.integers(-128, 127), st.integers(-128, 127))
