@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import algorithms
 from .containers import (
@@ -72,7 +73,10 @@ def _comma_indices(text: str) -> tuple:
     return tuple(out)
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The command-line parser, built at the first `run` of a process and
+    reused by every later one: parsing leaves no state in it."""
     p = _Parser(
         prog="sgk",
         description="Sparse semiring graph kernels. Vertex indices in "
@@ -309,8 +313,8 @@ def run(argv=None) -> int:
     process exit code instead of raising."""
     try:
         try:
-            ns = _build_parser().parse_args(argv)
-        except SystemExit as e:  # --help and --version exit via argparse
+            ns = _parser().parse_args(argv)
+        except SystemExit as e:  # --help exits via argparse
             return int(e.code or 0)
         started = time.perf_counter()
         result = ns.handler(_load_matrix(ns.file, ns.undirected), ns)

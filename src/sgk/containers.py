@@ -1,15 +1,18 @@
 """Sparse matrix and vector containers: tuples/COO, CSR, CSC.
 
-All containers are immutable after construction and validate their
-structural invariants (sortedness, uniqueness, index ranges) when built, so
-a container that exists is a container that is well formed.  Matrices use
+All containers are immutable after construction.  Their public
+constructors validate the structural invariants (int indices, sortedness,
+uniqueness, index ranges), so a container that exists is a container that
+is well formed.  The library's own builders, which have already proven
+those invariants of the parts they assemble, make containers through
+`_trusted` instead and skip the re-check.  Matrices use
 the row convention A(i, j) nonzero <=> edge i -> j; indices are 0-based
 everywhere inside the library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, and_, eq, itemgetter, lt, mul, not_, sub
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -66,6 +69,8 @@ class CooMatrix:
             raise DimensionMismatchError("matrix dimensions must be ints")
         if self.nrows < 0 or self.ncols < 0:
             raise DimensionMismatchError("matrix dimensions must be non-negative")
+        if not _all_ints(chain(map(itemgetter(0), self.triples), map(itemgetter(1), self.triples))):
+            raise SgkError("triple rows and columns must be ints")
         prev = None
         for t in self.triples:
             if not (0 <= t.row < self.nrows and 0 <= t.col < self.ncols):
@@ -108,6 +113,8 @@ class CompressedMatrix:
         if len(self.offsets) != major + 1 or self.offsets[0] != 0 or self.offsets[-1] != nnz:
             raise SgkError("offsets must span [0, nnz] with one slot per major slice")
         minors = self.minor_indices
+        if not _all_ints(minors):
+            raise SgkError("minor indices must be ints")
         lo = 0
         for hi in islice(self.offsets, 1, None):
             if lo > hi:
@@ -135,6 +142,8 @@ class SparseVector:
             raise DimensionMismatchError("vector length must be an int")
         if self.length < 0:
             raise DimensionMismatchError("vector length must be non-negative")
+        if not _all_ints(map(itemgetter(0), self.entries)):
+            raise SgkError("vector indices must be ints")
         prev = -1
         for i, _v in self.entries:
             if not 0 <= i < self.length:
@@ -142,6 +151,22 @@ class SparseVector:
             if i <= prev:
                 raise SgkError("vector entries must be strictly increasing by index")
             prev = i
+
+
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
+                for cls in (CooMatrix, CompressedMatrix, SparseVector)}
+
+
+def _trusted(cls, *values):
+    """A `cls` container of `values`, in field order, made without `__post_init__`.
+
+    Only for parts the library has already proven well formed; whatever
+    comes from a caller goes through the validating public constructor.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(_FIELD_NAMES[cls], values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +229,7 @@ def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: li
             last = list(map(not_, same))
             last.append(True)
             rows, cols, vals = (list(compress(seq, last)) for seq in (rows, cols, vals))
-    return CooMatrix(nrows, ncols, _triples(rows, cols, vals), dup.domain)
+    return _trusted(CooMatrix, nrows, ncols, _triples(rows, cols, vals), dup.domain)
 
 
 def _sorted_entries(majors: list[int], minors: list[int], vals: list, nminor: int):
@@ -242,7 +267,7 @@ def vector_from_entries(length: int,
     _check_index_list(map(itemgetter(0), pairs), length, "vector")
     _check_values(list(map(itemgetter(1), pairs)), domain)
     pairs.sort(key=itemgetter(0))
-    return SparseVector(length, tuple(pairs), domain)
+    return _trusted(SparseVector, length, tuple(pairs), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +297,14 @@ def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:
 def to_compressed(m: CooMatrix, orientation: str = ROW) -> CompressedMatrix:
     """CSR straight from the (row, col)-sorted triples, then `reorient`."""
     offsets = _offsets(map(itemgetter(0), m.triples), m.nrows)
-    csr = CompressedMatrix(m.nrows, m.ncols, ROW, offsets, tuple(map(itemgetter(1), m.triples)),
-                           tuple(map(itemgetter(2), m.triples)), m.domain)
+    csr = _trusted(CompressedMatrix, m.nrows, m.ncols, ROW, offsets,
+                   tuple(map(itemgetter(1), m.triples)), tuple(map(itemgetter(2), m.triples)),
+                   m.domain)
     return reorient(csr, orientation)
 
 
 def to_tuples(m: CompressedMatrix) -> CooMatrix:
-    return CooMatrix(m.nrows, m.ncols, entries_of(m), m.domain)
+    return _trusted(CooMatrix, m.nrows, m.ncols, entries_of(m), m.domain)
 
 
 def reorient(m: CompressedMatrix, orientation: str) -> CompressedMatrix:
@@ -301,8 +327,8 @@ def reorient(m: CompressedMatrix, orientation: str) -> CompressedMatrix:
         free[j] = q + 1
         minors[q] = i
         values[q] = v
-    return replace(m, orientation=orientation, offsets=offsets,
-                   minor_indices=tuple(minors), values=tuple(values))
+    return _trusted(CompressedMatrix, m.nrows, m.ncols, orientation, offsets, tuple(minors),
+                    tuple(values), m.domain)
 
 
 def transpose(m: CompressedMatrix) -> CompressedMatrix:
@@ -311,8 +337,8 @@ def transpose(m: CompressedMatrix) -> CompressedMatrix:
     A CSR matrix reinterpreted as CSC (and swapped dimensions) is already
     the transpose, so this is a relabeling plus one reorientation.
     """
-    flipped = replace(m, nrows=m.ncols, ncols=m.nrows,
-                      orientation=COL if m.orientation == ROW else ROW)
+    flipped = _trusted(CompressedMatrix, m.ncols, m.nrows, COL if m.orientation == ROW else ROW,
+                       m.offsets, m.minor_indices, m.values, m.domain)
     return reorient(flipped, m.orientation)
 
 
@@ -369,21 +395,14 @@ def densify_vector(v: SparseVector, fill) -> SparseVector:
     v.domain.check_value(fill)
     stored = dict(v.entries)
     ents = tuple((i, stored.get(i, fill)) for i in range(v.length))
-    return SparseVector(v.length, ents, v.domain)
+    return _trusted(SparseVector, v.length, ents, v.domain)
 
 
 def vector_as_column(v: SparseVector) -> CompressedMatrix:
     """View a length-n vector as an n x 1 matrix (for matrix-level folds),
     stored as its single column so a column fold needs no reorient."""
-    return CompressedMatrix(
-        nrows=v.length,
-        ncols=1,
-        orientation=COL,
-        offsets=(0, len(v.entries)),
-        minor_indices=tuple(i for i, _ in v.entries),
-        values=tuple(x for _, x in v.entries),
-        domain=v.domain,
-    )
+    return _trusted(CompressedMatrix, v.length, 1, COL, (0, len(v.entries)),
+                    tuple(i for i, _ in v.entries), tuple(x for _, x in v.entries), v.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +412,9 @@ def vector_as_column(v: SparseVector) -> CompressedMatrix:
 def check_invariants(obj) -> bool:
     """Re-run all structural validations and value-check the domain.
 
-    Containers validate themselves on construction, so this re-checks by
-    rebuilding and additionally verifies every stored value is a member of
-    the declared domain.  Returns True or raises.
+    This rebuilds `obj` through its validating constructor, which also
+    catches a container forged past it, and additionally verifies every
+    stored value is a member of the declared domain.  Returns True or raises.
     """
     if isinstance(obj, CompressedMatrix):
         vals: Sequence = obj.values

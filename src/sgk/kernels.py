@@ -8,7 +8,9 @@ entries to one builder, `_build`, as parallel (major, minor, value) lists.
 Where a semiring is supplied, any computed value equal to the additive
 identity is dropped from the result, so the stored pattern of a kernel
 output never contains the operative zero.  Kernels that take a bare op or
-monoid have no zero in scope and keep every computed value.
+monoid have no zero in scope and keep every computed value.  Every index
+a kernel stores comes from a valid input, so results are made through
+`containers._trusted` without being validated again.
 
 Floating-point accumulation order is fixed: within each output slot,
 contributions fold from the additive identity in ascending minor-index
@@ -23,7 +25,6 @@ the integers onto Z/2^w, so the result equals wrapping after every step.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import compress, repeat
 from operator import eq, not_
 from typing import Any, Sequence
@@ -38,6 +39,7 @@ from .containers import (
     _offsets,
     _slice,
     _sorted_entries,
+    _trusted,
     reorient,
     vector_as_column,
 )
@@ -73,8 +75,8 @@ def _build(nrows: int, ncols: int, orientation: str, majors: list[int], minors: 
     nmajor, nminor = (nrows, ncols) if orientation == ROW else (ncols, nrows)
     majors, minors, values = (_sorted_entries(majors, minors, values, nminor)
                               or (majors, minors, values))
-    return CompressedMatrix(nrows, ncols, orientation, _offsets(majors, nmajor),
-                            tuple(minors), tuple(values), domain)
+    return _trusted(CompressedMatrix, nrows, ncols, orientation, _offsets(majors, nmajor),
+                    tuple(minors), tuple(values), domain)
 
 
 def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
@@ -125,8 +127,8 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
         minors.extend(compress(ks, keep))
         values.extend(compress(vs, keep))
         offsets.append(len(minors))
-    out = CompressedMatrix(a.nrows, b.ncols, ROW, tuple(offsets), tuple(minors),
-                           tuple(values), s.domain)
+    out = _trusted(CompressedMatrix, a.nrows, b.ncols, ROW, tuple(offsets), tuple(minors),
+                   tuple(values), s.domain)
     return reorient(out, a.orientation)
 
 
@@ -164,7 +166,7 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
             acc = fit(acc)
         if hit and not acc == zero:
             entries.append((i, acc))
-    return SparseVector(out_len, tuple(entries), s.domain)
+    return _trusted(SparseVector, out_len, tuple(entries), s.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,7 @@ def reduce(a: CompressedMatrix, m: Monoid, axis: str) -> SparseVector:
         for p in range(lo, hi):
             acc = add(acc, eff.values[p])
         entries.append((i, acc if fit is None else fit(acc)))
-    return SparseVector(length, tuple(entries), m.domain)
+    return _trusted(SparseVector, length, tuple(entries), m.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,7 @@ def scale_vector(v: SparseVector, w: SparseVector, op: BinaryOp) -> SparseVector
     _require_domain(op.domain, v, w)
     other = dict(w.entries)
     entries = tuple((i, op.eval(x, other[i])) for i, x in v.entries if i in other)
-    return SparseVector(v.length, entries, op.domain)
+    return _trusted(SparseVector, v.length, entries, op.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +347,9 @@ def apply_unary(a, f: UnaryOp | IndexUnaryOp, drop_zeros_for=None):
         keep = list(map(not_, map(eq, values, repeat(drop_zeros_for))))
         minors, values = list(compress(minors, keep)), list(compress(values, keep))
     if isinstance(a, SparseVector):
-        return SparseVector(a.length, tuple(zip(minors, values)), f.output_domain)
+        return _trusted(SparseVector, a.length, tuple(zip(minors, values)), f.output_domain)
     if drop_zeros_for is None:
-        return replace(m, values=tuple(values), domain=f.output_domain)
+        return _trusted(CompressedMatrix, m.nrows, m.ncols, m.orientation, m.offsets, minors,
+                        tuple(values), f.output_domain)
     return _build(m.nrows, m.ncols, m.orientation, list(compress(_major_indices(m.offsets), keep)),
                   minors, values, f.output_domain)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -13,6 +14,8 @@ from sgk import algorithms, io_formats
 from sgk.cli import run
 from sgk.errors import InternalInvariantError, LawCheckError, SgkError
 from sgk.io_formats import read_matrix_market
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 K3_EDGES = "0 1\n0 2\n1 2\n"
 PATH_EDGES = "0 1\n1 2\n"
@@ -280,6 +283,66 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == 1
+
+
+def _in_process(capsys, argv):
+    code = run(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, code
+
+
+def _one_process(argv):
+    """stdout, stderr and exit code of `sgk argv` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "sgk.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, k3_file):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    for argv in (["--help"], ["--version"], [], ["frobnicate"], ["bfs", "--help"],
+                 ["bfs", k3_file], ["bfs", "--source", "1,x", k3_file],
+                 ["sssp", "--source", "1.5", k3_file], ["degrees", "--dir", "up", k3_file],
+                 ["info", "--format", "xml", k3_file], ["info", "--bogus", k3_file]):
+        fresh = _one_process(argv)
+        for _ in range(2):  # the second call parses with the parser the first one used
+            assert _in_process(capsys, argv) == fresh, argv
+
+
+def test_commands_in_one_process_print_what_one_process_each_prints(capsys, tmp_path,
+                                                                     k3_file, triangle_mm_file):
+    vec = tmp_path / "v.mm"
+    vec.write_text(VECTOR_MM)
+    out = tmp_path / "out.mm"
+    sequence = [
+        ["info", triangle_mm_file],
+        ["bfs", "--source", "0", "--undirected", k3_file],
+        ["frobnicate"],
+        ["sssp", "--source", "0", k3_file],
+        ["degrees", "--dir", "out", "--format", "tsv", k3_file],
+        ["convert", k3_file, "-o", str(out)],
+        ["pagerank", "--undirected", k3_file],
+        ["cc", "--undirected", k3_file],
+        ["triangles", "--undirected", k3_file],
+        ["clustering", "--undirected", "--format", "tsv", k3_file],
+        ["mxm", "--semiring", "plus_times", triangle_mm_file, triangle_mm_file, "-o", str(out)],
+        ["mxv", "--semiring", "plus_times", triangle_mm_file, str(vec)],
+        ["info", str(tmp_path / "missing.tsv")],
+    ]
+
+    def observed(stdout, stderr, code):
+        if stdout.startswith("{"):
+            stdout = json.loads(stdout)
+            del stdout["elapsed_ms"]
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return stdout, stderr, code, written
+
+    in_one = [observed(*_in_process(capsys, argv)) for argv in sequence]
+    assert in_one == [observed(*_one_process(argv)) for argv in sequence]
+    assert [obs[2] for obs in in_one] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -289,13 +289,28 @@ _UNSORTED = "minor indices must be strictly increasing per slice"
     ((2, 3, ROW, (0, 2, 3), (0, 7, 1), (1, 1, 1)), IndexRangeError,
      "minor index 7 out of range"),
     ((2, 3, ROW, (0, 2, 3), (1, 0, 7), (1, 1, 1)), SgkError, _UNSORTED),
-    # Dimensions and offsets are ints, and no bool counts as one.
+    # Dimensions, offsets and minor indices are ints, and no bool counts as one.
     ((True, True, ROW, (0, 0), (), ()), DimensionMismatchError, "matrix dimensions must be ints"),
     ((2, 2, ROW, (0, 1.0, 1), (0,), (1,)), SgkError, "offsets must be ints"),
+    ((1, 3, ROW, (0, 1), (1.0,), (1,)), SgkError, "minor indices must be ints"),
+    ((1, 3, ROW, (0, 2), (0, True), (1, 1)), SgkError, "minor indices must be ints"),
+    ((1, 3, ROW, (0, 1), ("1",), (1,)), SgkError, "minor indices must be ints"),
 ])
 def test_compressed_refusals_name_the_fault(args, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         CompressedMatrix(*args, INT64)
+
+
+@pytest.mark.parametrize("row, col", [(True, 1), (0, 1.0), (0.0, 1), ("0", 1)])
+def test_coo_refuses_a_non_int_row_or_column(row, col):
+    with pytest.raises(SgkError, match=r"^triple rows and columns must be ints$"):
+        CooMatrix(2, 2, (Triple(0, 0, 5), Triple(row, col, 5)), INT64)
+
+
+@pytest.mark.parametrize("index", [1.0, False, "1", None])
+def test_vector_refuses_a_non_int_index(index):
+    with pytest.raises(SgkError, match=r"^vector indices must be ints$"):
+        SparseVector(3, ((0, 1), (index, 1)), INT64)
 
 
 def test_a_forged_offset_past_nnz_is_refused_by_check_invariants():
