@@ -211,22 +211,30 @@ def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:
     return sr, _symmetric_pattern(a, name)
 
 
-def _lower(pat: CompressedMatrix) -> CompressedMatrix:
-    """Strictly lower triangle (row > column) of a 0/1 INT64 pattern."""
-    below = IndexUnaryOp("strictly_lower", INT64, INT64, lambda x, i, j: x if i > j else 0)
-    return apply_unary(pat, below, drop_zeros_for=0)
+def _upward(pat: CompressedMatrix, deg: SparseVector) -> CompressedMatrix:
+    """The entries (i, j) of a symmetric 0/1 INT64 pattern whose column
+    vertex j ranks above row vertex i, vertices ranking by (degree, index)
+    with `deg` the pattern's row sums: one entry of each mirrored pair,
+    pointing to the busier vertex, so a hub keeps few entries of its own."""
+    ranked = sorted(vector_entries(deg), key=lambda e: (e[1], e[0]))
+    rank = {i: r for r, (i, _d) in enumerate(ranked)}
+    up = IndexUnaryOp("upward", INT64, INT64, lambda x, i, j: x if rank[j] > rank[i] else 0)
+    return apply_unary(pat, up, drop_zeros_for=0)
 
 
 def triangle_count(a: CompressedMatrix) -> int:
     """Count triangles in a simple undirected graph.
 
-    With L the strictly lower triangle of the pattern, (L.L)(i, k) masked
-    to L counts the middle vertices j of each path i > j > k closed by the
-    edge i-k, so the masked entries sum to every triangle counted once.
+    With U the pattern oriented from each vertex to its neighbours of
+    higher (degree, index) rank (`_upward`), (U.U)(i, k) masked to U counts
+    the middle vertices j of each path i < j < k in rank closed by the edge
+    i-k, so the masked entries sum to every triangle counted once.  Ranking
+    by degree keeps a hub's row of U short, which bounds the products
+    (Schank and Wagner, WEA 2005).
     """
     sr, pat = _simple_pattern(a, "triangle_count")
-    low = _lower(pat)
-    corners = ewise_mult(low, mxm(low, low, sr), sr.mul)
+    up = _upward(pat, reduce(pat, sr.add, "rows"))
+    corners = ewise_mult(up, mxm(up, up, sr), sr.mul)
     return _vec_total(reduce(corners, sr.add, "rows"), sr.add)
 
 
@@ -239,12 +247,13 @@ def clustering_coefficients(a: CompressedMatrix) -> SparseVector:
     triangle; an absent entry reads as a zero coefficient.
     """
     sr, pat = _simple_pattern(a, "clustering_coefficients")
-    # With L the strictly lower triangle, (A.L)(i, k) masked to A counts the
-    # j > k adjacent to both i and k, so row i sums each triangle through i
-    # once.  t / (d (d - 1) / 2) halves both operands of 2 t / (d (d - 1)),
-    # which leaves each correctly rounded float quotient unchanged.
-    tri = reduce(ewise_mult(pat, mxm(pat, _lower(pat), sr), sr.mul), sr.add, "rows")
     deg = reduce(pat, sr.add, "rows")
+    # With U the pattern oriented up the (degree, index) rank (`_upward`),
+    # (A.U)(i, k) masked to A counts the j adjacent to both i and k that
+    # rank below k, so row i sums each triangle through i once.
+    # t / (d (d - 1) / 2) halves both operands of 2 t / (d (d - 1)), which
+    # leaves each correctly rounded float quotient unchanged.
+    tri = reduce(ewise_mult(pat, mxm(pat, _upward(pat, deg), sr), sr.mul), sr.add, "rows")
     wedges = apply_unary(
         deg,
         UnaryOp("wedges", INT64, FLOAT64, lambda d: d * (d - 1) / 2),

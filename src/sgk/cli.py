@@ -19,7 +19,7 @@ import sys
 import time
 from functools import cache
 
-from . import algorithms
+from . import __version__, algorithms
 from .containers import (
     CompressedMatrix,
     SparseVector,
@@ -82,6 +82,7 @@ def _parser() -> _Parser:
         description="Sparse semiring graph kernels. Vertex indices in "
         "output are 0-based; Matrix Market files are 1-based on disk.",
     )
+    p.add_argument("--version", action="version", version=f"sgk {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(name, handler, help):
@@ -259,9 +260,6 @@ class _OutputFile:
     def write(self, text: str) -> None:
         (self.fh or self._open()).write(text)
 
-    def writelines(self, lines) -> None:
-        (self.fh or self._open()).writelines(lines)
-
     def __enter__(self):
         return self
 
@@ -314,7 +312,7 @@ def run(argv=None) -> int:
     try:
         try:
             ns = _parser().parse_args(argv)
-        except SystemExit as e:  # --help exits via argparse
+        except SystemExit as e:  # --help and --version exit via argparse
             return int(e.code or 0)
         started = time.perf_counter()
         result = ns.handler(_load_matrix(ns.file, ns.undirected), ns)

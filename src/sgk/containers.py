@@ -282,10 +282,14 @@ def _offsets(indices: Iterable[int], nslices: int) -> tuple[int, ...]:
     return tuple(accumulate(counts))
 
 
+def _slice_sizes(offsets: Sequence[int]) -> Iterable[int]:
+    """The number of stored entries in each major slice."""
+    return map(sub, islice(offsets, 1, None), offsets)
+
+
 def _major_indices(offsets: Sequence[int]) -> Iterable[int]:
     """The major index of each stored entry, in stored order."""
-    counts = map(sub, islice(offsets, 1, None), offsets)
-    return chain.from_iterable(map(repeat, range(len(offsets) - 1), counts))
+    return chain.from_iterable(map(repeat, range(len(offsets) - 1), _slice_sizes(offsets)))
 
 
 def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:

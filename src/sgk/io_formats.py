@@ -19,12 +19,12 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import ge, ne
-from typing import IO, Any, Callable, Iterable, NamedTuple
+from itertools import chain, compress, islice, repeat
+from operator import add, attrgetter, ge, ne
+from typing import IO, Any, Callable, Iterable, NamedTuple, Sequence
 
-from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble, _slice,
-                         reorient, to_compressed)
+from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble,
+                         _slice_sizes, reorient, to_compressed)
 from .domains import COMPLEX128, FLOAT64, INT64, ValueDomain
 from .errors import IndexRangeError, ParseError, UnserializableDomainError
 from .semirings import plus_monoid
@@ -41,15 +41,16 @@ class _Field(NamedTuple):
     width: int  # tokens per entry line, row and column included
     parse: Callable[..., Any]  # the value tokens' value; ValueError when they hold none
     carries: Callable[[Any], bool] | None  # the values it can hold; None for all
-    text: Callable[[Any], str]  # a stored value's text, with its leading space
+    texts: Callable[[Sequence], tuple]  # stored values' text, one iterable per value column
 
 
 _FIELDS = {
-    "real": _Field(FLOAT64, 3, float, math.isfinite, lambda v: f" {float(v)!r}"),
-    "integer": _Field(INT64, 3, int, None, lambda v: f" {v}"),
+    "real": _Field(FLOAT64, 3, float, math.isfinite, lambda vs: (map(repr, map(float, vs)),)),
+    "integer": _Field(INT64, 3, int, None, lambda vs: (map(str, vs),)),
     "complex": _Field(COMPLEX128, 4, lambda re, im: complex(float(re), float(im)),
-                      cmath.isfinite, lambda v: f" {v.real!r} {v.imag!r}"),
-    "pattern": _Field(INT64, 2, lambda: 1, bool, lambda v: ""),
+                      cmath.isfinite, lambda vs: (map(repr, map(attrgetter("real"), vs)),
+                                                  map(repr, map(attrgetter("imag"), vs)))),
+    "pattern": _Field(INT64, 2, lambda: 1, bool, lambda vs: ()),
 }
 _SYMMETRIES = ("general", "symmetric")
 
@@ -319,14 +320,21 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     Boolean matrices serialize as pattern files provided every stored value
     is true; opaque-handle matrices have no text form.  Every value is
     checked before the first write, so a refused write writes nothing.
+
+    Entries are formatted a column at a time (rows, columns, then the
+    field's value columns) and written _BLOCK lines at a time.
     """
     csr = _csr(m)
     name = serializable_field(csr)
-    text = _FIELDS[name].text
     stream.write(f"%%MatrixMarket matrix coordinate {name} general\n")
     stream.write(f"{csr.nrows} {csr.ncols} {len(csr.values)}\n")
-    for i in range(csr.nrows):
-        stream.writelines(f"{i + 1} {j + 1}{text(v)}\n" for j, v in _slice(csr, i))
+    rows = chain.from_iterable(map(repeat, map(str, range(1, csr.nrows + 1)),
+                                   _slice_sizes(csr.offsets)))
+    cols = map(str, map(add, csr.minor_indices, repeat(1)))
+    lines = map(" ".join, zip(rows, cols, *_FIELDS[name].texts(csr.values)))
+    while block := list(islice(lines, _BLOCK)):
+        stream.write("\n".join(block))
+        stream.write("\n")
 
 
 def _edge_field(tokens: list[str]) -> _Field:

@@ -25,7 +25,7 @@ the integers onto Z/2^w, so the result equals wrapping after every step.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import eq, not_
 from typing import Any, Sequence
 
@@ -38,6 +38,7 @@ from .containers import (
     _major_indices,
     _offsets,
     _slice,
+    _slice_sizes,
     _sorted_entries,
     _trusted,
     reorient,
@@ -98,8 +99,8 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
     """Sparse matrix-matrix multiply over a semiring.
 
     C(i, k) = add-fold over j of mul(A(i, j), B(j, k)), row-wise with a
-    sparse accumulator per output row (Gustavson's method), each finished
-    row appended straight to the result's CSR arrays.  Implicit
+    sparse accumulator per non-empty row of A (Gustavson's method), each
+    finished row appended straight to the result's CSR arrays.  Implicit
     entries contribute nothing because the additive identity annihilates
     under mul.
     """
@@ -112,10 +113,12 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
     br = reorient(b, ROW)
     add, mul, fit = _fold_ops(s.add.op, s.mul)
     zero = s.add.identity
-    offsets = [0]
+    # Only A's non-empty rows are visited, so the loop follows the stored
+    # entries, not the declared rows; their counts become offsets at the end.
+    counts = [0] * (ar.nrows + 1)
     minors: list[int] = []
     values: list[Any] = []
-    for i in range(ar.nrows):
+    for i in compress(range(ar.nrows), _slice_sizes(ar.offsets)):
         acc: dict[int, Any] = {}
         get = acc.get
         for j, x in _slice(ar, i):
@@ -126,9 +129,9 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
         keep = list(map(not_, map(eq, vs, repeat(zero))))
         minors.extend(compress(ks, keep))
         values.extend(compress(vs, keep))
-        offsets.append(len(minors))
-    out = _trusted(CompressedMatrix, a.nrows, b.ncols, ROW, tuple(offsets), tuple(minors),
-                   tuple(values), s.domain)
+        counts[i + 1] = keep.count(True)
+    out = _trusted(CompressedMatrix, a.nrows, b.ncols, ROW, tuple(accumulate(counts)),
+                   tuple(minors), tuple(values), s.domain)
     return reorient(out, a.orientation)
 
 

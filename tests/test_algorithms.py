@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    coo_matrices,
     random_digraph,
     random_undirected,
     random_weighted_digraph,
@@ -39,7 +38,6 @@ from sgk.containers import (
     densify_vector,
     entries_of,
     is_symmetric,
-    nvals,
     reorient,
     to_compressed,
     vector_entries,
@@ -738,14 +736,70 @@ def test_triangle_count_matches_the_oracle_and_the_full_square(graph, data):
             assert _reference_triangles(a) == want
 
 
-@given(coo_matrices(square=True, values=st.just(1)), st.sampled_from((ROW, COL)))
-def test_lower_keeps_exactly_the_entries_below_the_diagonal(coo, orientation):
-    pat = to_compressed(coo, orientation)
-    low = algorithms._lower(pat)
-    assert check_invariants(low)
-    assert low.orientation == orientation
-    assert low.domain == INT64
-    assert list(entries_of(low)) == [(r, c, 1) for r, c, _v in coo.triples if r > c]
+def _upward_cells(a):
+    """The cells (i, j) of a's pattern whose j has the higher (degree,
+    index) rank, degrees counted from the stored cells."""
+    cells = {(t.row, t.col) for t in entries_of(a)}
+    deg = {}
+    for i, _j in cells:
+        deg[i] = deg.get(i, 0) + 1
+    return {(i, j) for i, j in cells if (deg[j], j) > (deg[i], i)}
+
+
+@settings(max_examples=100)
+@given(_simple_graphs(), st.data())
+def test_upward_keeps_one_entry_of_each_pair_pointing_up_the_degree_rank(graph, data):
+    n, edges = graph
+    cells = sorted(set(edges) | {(v, u) for u, v in edges})
+    for domain, values in sorted(_ADJACENCY_VALUES.items(), key=lambda kv: kv[0].kind):
+        triples = tuple(Triple(u, v, data.draw(values)) for u, v in cells)
+        for orientation in (ROW, COL):
+            a = to_compressed(CooMatrix(n, n, triples, domain), orientation)
+            sr, pat = algorithms._simple_pattern(a, "test")
+            up = algorithms._upward(pat, reduce(pat, sr.add, "rows"))
+            assert check_invariants(up)
+            assert up.orientation == orientation
+            assert up.domain == INT64
+            kept = {(t.row, t.col) for t in entries_of(up)}
+            assert {t.val for t in entries_of(up)} <= {1}
+            assert all(((u, v) in kept) != ((v, u) in kept) for u, v in edges)
+            assert kept == _upward_cells(a)
+
+
+def _flops(a, b):
+    """Products Gustavson's method forms for a.b: the sum over stored
+    A(i, j) of the entries in row j of b."""
+    row_len = {}
+    for t in entries_of(b):
+        row_len[t.row] = row_len.get(t.row, 0) + 1
+    return sum(row_len.get(t.col, 0) for t in entries_of(a))
+
+
+def test_degree_ranking_does_fewer_products_than_the_lower_triangle_on_a_hub():
+    # A hub in the middle of the index range, adjacent to every other
+    # vertex, with a clique among six of its leaves.
+    n, hub = 21, 10
+    leaves = [v for v in range(n) if v != hub]
+    edges = [(min(hub, v), max(hub, v)) for v in leaves]
+    edges += [(u, v) for u in leaves[:6] for v in leaves[:6] if u < v]
+    a = undirected(n, edges)
+    operands = []
+
+    def recorded_mxm(x, y, s):
+        operands.append((x, y))
+        return mxm(x, y, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "mxm", recorded_mxm)
+        assert triangle_count(a) == oracle_triangles(n, edges)
+        got = vector_as_dict(clustering_coefficients(a))
+    want = oracle_clustering(n, edges)
+    assert got == {k: v for k, v in want.items() if v}
+    (up, up2), (pat, up3) = operands
+    below = IndexUnaryOp("strictly_lower", INT64, INT64, lambda x, i, j: x if i > j else 0)
+    low = apply_unary(pat, below, drop_zeros_for=0)
+    assert _flops(up, up2) < _flops(low, low)
+    assert _flops(pat, up3) < _flops(pat, low)
 
 
 def test_clustering_triangle_is_fully_clustered():
@@ -826,12 +880,10 @@ def test_clustering_matches_the_full_square_reference(case):
         got = clustering_coefficients(a)
     assert repr(vector_entries(got)) == repr(vector_entries(_reference_clustering(a)))
     assert not set(added) & set(vector_as_dict(got))
-    # The one product multiplies by the strictly lower triangle of the pattern.
-    (low,) = seconds
-    on_or_above = IndexUnaryOp("on_or_above", INT64, BOOLEAN, lambda _x, i, j: i <= j)
-    assert nvals(apply_unary(low, on_or_above, drop_zeros_for=False)) == 0
-    assert {(t.row, t.col) for t in entries_of(low)} == {
-        (t.row, t.col) for t in entries_of(a) if t.row > t.col}
+    # The one product multiplies by one entry of each mirrored pair of the
+    # pattern, the one pointing to the higher (degree, index) vertex.
+    (up,) = seconds
+    assert {(t.row, t.col) for t in entries_of(up)} == _upward_cells(a)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sgk import algorithms, io_formats
+from sgk import __version__, algorithms, io_formats
 from sgk.cli import run
 from sgk.errors import InternalInvariantError, LawCheckError, SgkError
 from sgk.io_formats import read_matrix_market
@@ -263,6 +263,11 @@ def test_every_command_reaches_its_handler(capsys, tmp_path, triangle_mm_file, a
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_version_prints_the_package_version_and_exits_zero(capsys):
+    assert _in_process(capsys, ["--version"]) == (f"sgk {__version__}\n", "", 0)
+    assert _one_process(["--version"]) == ("sgk 0.1.0\n", "", 0)
 
 
 def test_stdout_deterministic_across_runs(capsys, k3_file):

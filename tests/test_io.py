@@ -15,6 +15,7 @@ from sgk.containers import (
     ROW,
     CooMatrix,
     Triple,
+    _slice,
     entries_of,
     is_symmetric,
     to_compressed,
@@ -421,6 +422,72 @@ def test_written_text_matches_the_triple_reference_in_every_form(domain, data):
     for m in (coo, to_compressed(coo, ROW), to_compressed(coo, COL)):
         triples = m.triples if m is coo else to_tuples(m).triples
         assert _written(m) == _reference_text(coo.nrows, coo.ncols, triples, domain)
+
+
+# The per-entry value text of the writer that formatted one entry at a time,
+# with its leading space, per field.
+_ENTRY_TEXT = {
+    "real": lambda v: f" {float(v)!r}",
+    "integer": lambda v: f" {v}",
+    "complex": lambda v: f" {v.real!r} {v.imag!r}",
+    "pattern": lambda v: "",
+}
+
+
+def _per_entry_written(m) -> str:
+    """The text of the writer that formatted one f-string per entry, row by
+    row; the reference for the writer that formats whole columns."""
+    csr = io_formats._csr(m)
+    name = serializable_field(csr)
+    text = _ENTRY_TEXT[name]
+    buf = io.StringIO()
+    buf.write(f"%%MatrixMarket matrix coordinate {name} general\n")
+    buf.write(f"{csr.nrows} {csr.ncols} {len(csr.values)}\n")
+    for i in range(csr.nrows):
+        buf.writelines(f"{i + 1} {j + 1}{text(v)}\n" for j, v in _slice(csr, i))
+    return buf.getvalue()
+
+
+def _column_written(m, block=None) -> str:
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if block:
+            mp.setattr(io_formats, "_BLOCK", block)
+        write_matrix_market(m, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("domain", list(_VALUES), ids=lambda d: d.kind)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_column_writer_matches_the_per_entry_writer(domain, data):
+    """Every field, from COO, CSR and CSC input, with empty rows and empty
+    matrices, in blocks of one to three lines as well as the default."""
+    nrows, ncols = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    rows = data.draw(st.sets(st.integers(0, nrows - 1))) if nrows and ncols else set()
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(sorted(rows)), st.integers(0, ncols - 1)),
+        _VALUES[domain][0], max_size=40)) if rows else {}
+    coo = CooMatrix(nrows, ncols, tuple(Triple(r, c, v) for (r, c), v in sorted(cells.items())),
+                    domain)
+    block = data.draw(st.sampled_from([None, 1, 2, 3]))
+    for m in (coo, to_compressed(coo, ROW), to_compressed(coo, COL)):
+        assert _column_written(m, block) == _per_entry_written(m)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("domain", list(_VALUES), ids=lambda d: d.kind)
+def test_column_writer_matches_the_per_entry_writer_across_blocks(domain, form):
+    """More than two default blocks of entries, every third row empty."""
+    rng = random.Random(29)
+    values = {INT64: lambda: rng.randrange(-2**63, 2**63), FLOAT64: lambda: rng.uniform(-1e9, 1e9),
+              COMPLEX128: lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1e-300)),
+              BOOLEAN: lambda: True}[domain]
+    n = 60
+    cells = [(r, c) for r in range(n) if r % 3 for c in range(n)]
+    assert len(cells) > 2 * io_formats._BLOCK
+    m = form(CooMatrix(n, n, tuple(Triple(r, c, values()) for r, c in cells), domain))
+    assert _column_written(m) == _per_entry_written(m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
@@ -855,6 +856,35 @@ def _assert_same_product(a, b, s):
     got = mxm(a, b, s)
     _assert_same_matrix(got, _mxm_by_slice_pairs(a, b, s))
     return got
+
+
+def _traced_lines(fn) -> int:
+    """The Python lines `fn()` executes, counted with sys.settrace."""
+    count = 0
+
+    def tracer(_frame, event, _arg):
+        nonlocal count
+        count += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_mxm_work_follows_the_stored_rows_not_the_declared_ones():
+    s = registry_get("plus_times/signed-int-64")
+    lines = []
+    for n in (2**10, 2**16):
+        a = to_compressed(CooMatrix(n, n, (Triple(0, n - 1, 2), Triple(n - 1, 0, 3)), INT64))
+        c = mxm(a, a, s)
+        assert entries_of(c) == (Triple(0, 0, 6), Triple(n - 1, n - 1, 6))
+        lines.append(_traced_lines(lambda: mxm(a, a, s)))
+    assert lines[0] == lines[1]
 
 
 # Values that make folds wrap (to 0 too), overflow to the min_plus identity,
