@@ -118,9 +118,9 @@ def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what
     entries of x whose value fell in the last round (all of x at first).
     The add is an exact, idempotent min that keeps the current value on a
     tie, so a vertex whose value did not fall adds nothing the current
-    values lack, and x after every round is the one the full product gives.  The current values live in a dict,
-    where an absent vertex reads as the add identity.  m is put once in the
-    order its products read, so no round reorients."""
+    values lack, and x after every round is the one the full product gives.
+    The values live in a dict (absent: the add identity), and m is put once
+    in the order its products read, so no round reorients."""
     m = reorient(m, COL if transpose_input else ROW)
     add, zero = sr.add.op.eval, sr.zero
     cur = dict(vector_entries(x))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, and_, eq, itemgetter, lt, mul, not_, sub
+from operator import add, and_, eq, itemgetter, le, lt, mul, not_, sub
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .domains import ValueDomain
@@ -115,10 +115,9 @@ class CompressedMatrix:
         minors = self.minor_indices
         if not _all_ints(minors):
             raise SgkError("minor indices must be ints")
-        lo = 0
-        for hi in islice(self.offsets, 1, None):
-            if lo > hi:
-                raise SgkError("offsets must be non-decreasing")
+        if not all(map(le, self.offsets, islice(self.offsets, 1, None))):
+            raise SgkError("offsets must be non-decreasing")
+        for _i, lo, hi in _stored_slices(self.offsets):
             prev = -1
             for j in minors[lo:hi]:
                 if not 0 <= j < minor:
@@ -126,7 +125,6 @@ class CompressedMatrix:
                 if j <= prev:
                     raise SgkError("minor indices must be strictly increasing per slice")
                 prev = j
-            lo = hi
 
 
 @dataclass(frozen=True)
@@ -287,9 +285,16 @@ def _slice_sizes(offsets: Sequence[int]) -> Iterable[int]:
     return map(sub, islice(offsets, 1, None), offsets)
 
 
+def _stored_slices(offsets: Sequence[int]) -> Iterable[tuple[int, int, int]]:
+    """(major index, start, end) of each non-empty slice, ascending, found at C speed."""
+    return compress(zip(range(len(offsets) - 1), offsets, islice(offsets, 1, None)),
+                    _slice_sizes(offsets))
+
+
 def _major_indices(offsets: Sequence[int]) -> Iterable[int]:
     """The major index of each stored entry, in stored order."""
-    return chain.from_iterable(map(repeat, range(len(offsets) - 1), _slice_sizes(offsets)))
+    return chain.from_iterable(map(repeat, compress(range(len(offsets) - 1), _slice_sizes(offsets)),
+                                   filter(None, _slice_sizes(offsets))))
 
 
 def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
+import sys
 from typing import Any, Callable, Sequence
 
 from hypothesis import strategies as st
 
+import sgk
 from sgk.containers import (
     CompressedMatrix,
     CooMatrix,
@@ -176,6 +179,40 @@ def snapshot(obj) -> tuple:
     if isinstance(obj, SparseVector):
         return ("vec", obj.length, obj.entries, obj.domain.kind)
     raise TypeError(f"no snapshot for {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Work counting
+
+_SGK_DIR = os.path.dirname(os.path.realpath(sgk.__file__)) + os.sep
+
+
+def traced_lines(fn) -> int:
+    """The lines of the sgk package that `fn()` executes, counted with
+    sys.settrace.  Frames of any other file are left untraced, so code that
+    happens to run during the call (a garbage-collection callback, say)
+    adds nothing, while every library line is counted."""
+    count = 0
+    in_sgk: dict[str, bool] = {}  # co_filename -> whether it lies in the package
+
+    def line(_frame, event, _arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    def call(frame, _event, _arg):
+        name = frame.f_code.co_filename
+        if name not in in_sgk:
+            in_sgk[name] = os.path.realpath(name).startswith(_SGK_DIR)
+        return line if in_sgk[name] else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_lines
 from sgk import __version__, algorithms, io_formats
 from sgk.cli import run
 from sgk.errors import InternalInvariantError, LawCheckError, SgkError
@@ -348,6 +349,47 @@ def test_commands_in_one_process_print_what_one_process_each_prints(capsys, tmp_
     in_one = [observed(*_in_process(capsys, argv)) for argv in sequence]
     assert in_one == [observed(*_one_process(argv)) for argv in sequence]
     assert [obs[2] for obs in in_one] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+
+
+# The commands whose Python work should follow the stored entries alone.
+# cc is left out: its output holds one label per vertex, so its work grows
+# with the declared size by design.
+_DECLARED_SIZE_CASES = [
+    (["info", "{a}"], 0),
+    (["degrees", "--dir", "in", "{a}"], 0),
+    (["degrees", "--dir", "out", "{a}"], 0),
+    (["bfs", "--source", "0", "{a}"], 0),
+    (["sssp", "--source", "0", "{a}"], 0),
+    (["triangles", "{a}"], 0),
+    (["clustering", "{a}"], 0),
+    (["mxm", "--semiring", "plus_times", "{a}", "{a}", "-o", "{out}"], 0),
+    (["mxv", "--semiring", "plus_times", "{a}", "{v}"], 0),
+    (["convert", "{a}", "-o", "{out}"], 0),
+    (["pagerank", "{a}"], 3),  # refused: most vertices have no out-edge
+]
+
+
+@pytest.mark.parametrize("argv, code", _DECLARED_SIZE_CASES,
+                         ids=[" ".join(t for t in argv if t[0] != "{" and t != "-o")
+                              for argv, _ in _DECLARED_SIZE_CASES])
+def test_work_follows_the_stored_entries_not_the_declared_size(capsys, tmp_path, argv, code):
+    """Two entries, the edge 0 - (n - 1) both ways, declared in n x n: the
+    library lines a command runs are the same for n = 2^10 and n = 2^16."""
+    def command(n):
+        a, v = tmp_path / f"a{n}.mm", tmp_path / f"v{n}.mm"
+        a.write_text(f"%%MatrixMarket matrix coordinate integer general\n{n} {n} 2\n"
+                     f"1 {n} 1\n{n} 1 1\n")
+        v.write_text(f"%%MatrixMarket matrix coordinate integer general\n{n} 1 2\n"
+                     f"1 1 1\n{n} 1 1\n")
+        args = [x.format(a=a, v=v, out=tmp_path / f"out{n}.mm") for x in argv]
+        return lambda: codes.append(run(args))
+
+    codes: list[int] = []
+    command(2**10)()  # warm-up: the parser, the registry and imports are built once
+    lines = [traced_lines(command(n)) for n in (2**10, 2**16)]
+    capsys.readouterr()
+    assert codes == [code] * 3
+    assert lines[0] == lines[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import coo_matrices, int_sampler, random_csr
+from helpers import coo_matrices, int_sampler, random_csr, traced_lines
 from sgk.containers import (
     COL,
     ROW,
@@ -318,6 +318,20 @@ def test_a_forged_offset_past_nnz_is_refused_by_check_invariants():
     object.__setattr__(m, "offsets", (0, 5, 2))
     with pytest.raises(SgkError, match=f"^{_DECREASING}$"):
         check_invariants(m)
+
+
+def test_validation_work_follows_the_stored_entries_not_the_declared_size():
+    """The public constructor and check_invariants run the same library lines
+    for two entries declared in 2^10 x 2^10 and in 2^16 x 2^16."""
+    lines = []
+    for n in (2**10, 2**10, 2**16):  # the first build warms up
+        offsets = (0, *[1] * (n - 1), 2)
+
+        def build():
+            check_invariants(CompressedMatrix(n, n, ROW, offsets, (n - 1, 0), (2, 3), INT64))
+
+        lines.append(traced_lines(build))
+    assert lines[1] == lines[2]
 
 
 def test_vector_requires_increasing_indices_and_range():

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from dataclasses import replace
 from typing import Any, Callable, Iterable
 
@@ -17,6 +16,7 @@ from helpers import (
     random_vector,
     sampler_for,
     snapshot,
+    traced_lines,
 )
 from sgk.containers import (
     COL,
@@ -858,24 +858,6 @@ def _assert_same_product(a, b, s):
     return got
 
 
-def _traced_lines(fn) -> int:
-    """The Python lines `fn()` executes, counted with sys.settrace."""
-    count = 0
-
-    def tracer(_frame, event, _arg):
-        nonlocal count
-        count += event == "line"
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        fn()
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 def test_mxm_work_follows_the_stored_rows_not_the_declared_ones():
     s = registry_get("plus_times/signed-int-64")
     lines = []
@@ -883,7 +865,7 @@ def test_mxm_work_follows_the_stored_rows_not_the_declared_ones():
         a = to_compressed(CooMatrix(n, n, (Triple(0, n - 1, 2), Triple(n - 1, 0, 3)), INT64))
         c = mxm(a, a, s)
         assert entries_of(c) == (Triple(0, 0, 6), Triple(n - 1, n - 1, 6))
-        lines.append(_traced_lines(lambda: mxm(a, a, s)))
+        lines.append(traced_lines(lambda: mxm(a, a, s)))
     assert lines[0] == lines[1]
 
 
@@ -1015,7 +997,8 @@ def _apply_unary_by_slice_pairs(a, f, drop_zeros_for=None):
     if drop_zeros_for is None and not indexed:
         return replace(a, values=tuple(f.eval(v) for v in a.values), domain=f.output_domain)
     out = [_map_at(_slice(a, i), f.eval, i, a.orientation == ROW, drop_zeros_for) if indexed
-           else _map(_slice(a, i), f.eval, drop_zeros_for) for i in range(kernels._major_dim(a))]
+           else _map(_slice(a, i), f.eval, drop_zeros_for)
+           for i in range(a.nrows if a.orientation == ROW else a.ncols)]
     return _from_slices(a.nrows, a.ncols, out, f.output_domain, a.orientation, a.orientation)
 
 

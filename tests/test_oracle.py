@@ -1,11 +1,13 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from sgk.containers import CooMatrix, SparseVector, Triple, to_compressed, vector_entries
 from sgk.domains import FLOAT64, INT64
+from sgk.errors import DimensionMismatchError
 from sgk.oracle import (
     DenseMatrix,
     dense_ewise,
@@ -77,6 +79,28 @@ def test_dense_ewise_and_reduce():
     assert dense_ewise(a, b, s).values == ((10, 0), (0, 8))
     assert dense_reduce(a, s.add, "rows") == (2, 7)
     assert dense_reduce(a, s.add, "cols") == (5, 4)
+
+
+_ROW = dense_from_rows([[1, 2]])
+_PLUS_TIMES = registry_get("plus_times/signed-int-64")
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: DenseMatrix(-1, 0, ()), ValueError, "dimensions must be non-negative"),
+    (lambda: DenseMatrix(2, 2, ((1, 2),)), ValueError, "row count does not match nrows"),
+    (lambda: DenseMatrix(1, 3, ((1, 2),)), ValueError, "row width does not match ncols"),
+    (lambda: dense_mxm(_ROW, _ROW, _PLUS_TIMES),
+     DimensionMismatchError, "dense_mxm: inner dimensions differ (2 vs 1)"),
+    (lambda: dense_mxv(_ROW, [1], _PLUS_TIMES),
+     DimensionMismatchError, "dense_mxv: vector length 1 does not match 2"),
+    (lambda: dense_ewise(_ROW, dense_from_rows([[1], [2]]), _PLUS_TIMES),
+     DimensionMismatchError, "dense_ewise: shapes differ"),
+    (lambda: dense_reduce(_ROW, _PLUS_TIMES.add, "diagonal"),
+     ValueError, 'axis must be "rows" or "cols"'),
+])
+def test_dense_refusals_name_the_fault(call, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def test_oracle_bfs_on_path():

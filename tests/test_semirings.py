@@ -20,6 +20,7 @@ from sgk.semirings import (
     BinaryOp,
     Monoid,
     Semiring,
+    UnaryOp,
     check_law_triples,
     law_sample_pool,
     max_monoid,
@@ -302,6 +303,7 @@ def test_ops_are_callable_descriptors():
     assert op(3.0, 4.0) == 12.0
     assert op.name == "times"
     assert op.domain is FLOAT64
+    assert UnaryOp("halve", INT64, FLOAT64, lambda x: x / 2)(3) == 1.5
 
 
 def test_float_single_arithmetic_rerounds():
