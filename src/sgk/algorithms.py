@@ -82,7 +82,9 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     over the boolean or_and semiring.
 
     Level 0 is the source set itself; each step expands the frontier one
-    hop along out-edges and drops everything already visited.
+    hop along out-edges and drops everything already visited.  The product
+    is transposed, so on a CSR pattern `mxv` pushes from the frontier along
+    its out-edges and no level reorients the pattern.
     """
     n = _require_square(a, "bfs")
     src = list(sources)
@@ -119,9 +121,10 @@ def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what
     The add is an exact, idempotent min that keeps the current value on a
     tie, so a vertex whose value did not fall adds nothing the current
     values lack, and x after every round is the one the full product gives.
-    The values live in a dict (absent: the add identity), and m is put once
-    in the order its products read, so no round reorients."""
-    m = reorient(m, COL if transpose_input else ROW)
+    The values live in a dict (absent: the add identity).  m is put in rows
+    once, so no round reorients: a transposed product pushes along the
+    frontier's out-edges, and a plain one pulls a dot product per row."""
+    m = reorient(m, ROW)
     add, zero = sr.add.op.eval, sr.zero
     cur = dict(vector_entries(x))
 
@@ -147,11 +150,11 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
 
     Edge weights must be non-negative (and finite for float domains).  The
     distances start at the source alone, every other vertex reading as the
-    min identity, and each round keeps the smaller of a vertex's distance
-    and those pulled along its in-edges from the vertices whose distance
-    fell in the last round.  A reachable vertex whose shortest distance
-    reaches the identity (the domain's infinity) cannot be represented and
-    is refused.
+    min identity, and each round pushes along the out-edges of the vertices
+    whose distance fell in the last round and keeps the smaller of each
+    vertex's distance and those it is offered.  A reachable vertex whose
+    shortest distance reaches the identity (the domain's infinity) cannot
+    be represented and is refused.
     """
     n = _require_square(a, "sssp_minplus")
     d = a.domain

@@ -2,9 +2,13 @@
 
 All kernels are pure: inputs are immutable and never modified, results are
 new containers.  Matrix results keep the orientation of the first matrix
-argument.  mxm writes its product row by row; every other matrix-returning
-kernel walks that argument in its own orientation and hands the result's
-entries to one builder, `_build`, as parallel (major, minor, value) lists.
+argument.  mxm writes its product row by row, each row one Gustavson row
+(`_row_product`).  mxv reads its matrix as stored and never reorients it:
+when the matrix's slices are indexed like the vector it pushes, as the
+Gustavson row of the vector alone, and otherwise it pulls a dot product per
+stored slice.  Every other matrix-returning kernel walks its first argument
+in its own orientation and hands the result's entries to one builder,
+`_build`, as parallel (major, minor, value) lists.
 Every per-slice loop walks only the stored slices (`_stored_slices`), so
 Python work follows the stored entries, not the declared dimensions.
 Where a semiring is supplied, any computed value equal to the additive
@@ -15,9 +19,10 @@ a kernel stores comes from a valid input, so results are made through
 `containers._trusted` without being validated again.
 
 Floating-point accumulation order is fixed: within each output slot,
-contributions fold from the additive identity in ascending minor-index
-order.  That makes results reproducible and directly comparable against a
-dense reference evaluation.
+contributions fold from the additive identity in ascending order of the
+index summed over (j in mxm and in mxv, push or pull alike; the minor index
+in reduce).  That makes results reproducible and directly comparable
+against a dense reference evaluation.
 
 Integer folds whose every op wraps (plus_times over a fixed-width integer
 domain, or a plus reduce) run on the ops' unbounded `raw` operators and wrap
@@ -93,6 +98,26 @@ def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
 # Multiplication
 
 
+def _row_product(left, b: CompressedMatrix, add, mul, fit, zero, left_first: bool):
+    """The (keys, values) lists, keys ascending, of the sparse row that sums
+    slice j of `b` times x over the (j, x) of `left`, j ascending
+    (Gustavson's row).  Slot k folds add(acc, mul(x, B(j, k))) from `zero`,
+    or mul(B(j, k), x) when not `left_first`; each slot is fitted once and
+    dropped when it equals `zero`."""
+    times = mul if left_first else (lambda x, y: mul(y, x))
+    acc: dict[int, Any] = {}
+    get = acc.get
+    offsets, minors, values = b.offsets, b.minor_indices, b.values
+    for j, x in left:
+        lo, hi = offsets[j], offsets[j + 1]
+        for k, y in zip(minors[lo:hi], values[lo:hi]):
+            acc[k] = add(get(k, zero), times(x, y))
+    ks = sorted(acc)
+    vs = list(map(acc.__getitem__, ks) if fit is None else map(fit, map(acc.__getitem__, ks)))
+    keep = list(map(not_, map(eq, vs, repeat(zero))))
+    return list(compress(ks, keep)), list(compress(vs, keep))
+
+
 def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatrix:
     """Sparse matrix-matrix multiply over a semiring.
 
@@ -117,17 +142,11 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
     minors: list[int] = []
     values: list[Any] = []
     for i, lo, hi in _stored_slices(ar.offsets):
-        acc: dict[int, Any] = {}
-        get = acc.get
-        for j, x in zip(ar.minor_indices[lo:hi], ar.values[lo:hi]):
-            for k, y in _slice(br, j):
-                acc[k] = add(get(k, zero), mul(x, y))
-        ks = sorted(acc)
-        vs = list(map(acc.__getitem__, ks) if fit is None else map(fit, map(acc.__getitem__, ks)))
-        keep = list(map(not_, map(eq, vs, repeat(zero))))
-        minors.extend(compress(ks, keep))
-        values.extend(compress(vs, keep))
-        counts[i + 1] = keep.count(True)
+        ks, vs = _row_product(zip(ar.minor_indices[lo:hi], ar.values[lo:hi]), br, add, mul, fit,
+                              zero, True)
+        minors.extend(ks)
+        values.extend(vs)
+        counts[i + 1] = len(ks)
     out = _trusted(CompressedMatrix, a.nrows, b.ncols, ROW, tuple(accumulate(counts)),
                    tuple(minors), tuple(values), s.domain)
     return reorient(out, a.orientation)
@@ -139,6 +158,11 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
 
     w(i) = add-fold over j of mul(A'(i, j), v(j)) where A' is A or its
     transpose.  Computed values equal to the additive identity are dropped.
+    A is read in the orientation it is stored in.  When its slices are
+    indexed by j (CSR with the flag, CSC without), each v(j) in ascending j
+    pushes along slice j into a sparse accumulator, so the work follows the
+    slices v selects; otherwise each stored slice pulls a dot product with
+    v.  Both fold each output in ascending j, so their results are equal.
     """
     in_len = a.nrows if transpose_input else a.ncols
     out_len = a.ncols if transpose_input else a.nrows
@@ -147,13 +171,17 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
             f"mxv: vector length {v.length} does not match matrix dimension {in_len}"
         )
     _require_domain(s.domain, a, v)
-    eff = reorient(a, COL if transpose_input else ROW)
     add, mul, fit = _fold_ops(s.add.op, s.mul)
     zero = s.add.identity
+    if (a.orientation == ROW) == transpose_input:
+        # A's slices are indexed like v: push, scattering slice j for each v(j).
+        return _trusted(SparseVector, out_len,
+                        tuple(zip(*_row_product(v.entries, a, add, mul, fit, zero, False))),
+                        s.domain)
     get = dict(v.entries).get
-    offsets, minors, values = eff.offsets, eff.minor_indices, eff.values
+    offsets, minors, values = a.offsets, a.minor_indices, a.values
     entries = []
-    # Positional, not _slice: most slices miss a sparse frontier; slicing was 45% slower in bfs.
+    # Positional, not _slice: slicing was 45% slower when most slices miss a sparse v.
     for i, lo, hi in _stored_slices(offsets):
         acc = zero
         hit = False

@@ -450,16 +450,18 @@ def test_components_refuse_an_asymmetric_pattern_like_the_reference(case, data):
         _reference_components(lopsided)
 
 
-# Each relaxation, and its result on the undirected ring of n vertices.
+# Each relaxation, and bfs, with its result on the undirected ring of n vertices.
 _RELAXATIONS = {
     "connected_components": (connected_components, lambda n: {i: 0 for i in range(n)}),
     "sssp_minplus": (lambda a: sssp_minplus(a, 0), lambda n: {i: min(i, n - i) for i in range(n)}),
+    "bfs": (lambda a: bfs(a, [0]).levels, lambda n: {i: min(i, n - i) for i in range(n)}),
 }
 
 
 @pytest.mark.parametrize("name, orientation, reorients", [
     ("connected_components", ROW, 0), ("connected_components", COL, 1),
-    ("sssp_minplus", ROW, 1), ("sssp_minplus", COL, 0),
+    ("sssp_minplus", ROW, 0), ("sssp_minplus", COL, 1),
+    ("bfs", ROW, 0), ("bfs", COL, 0),
 ])
 def test_relaxations_orient_their_matrix_once(name, orientation, reorients):
     algorithm, result_on_ring = _RELAXATIONS[name]

@@ -879,10 +879,10 @@ _PRODUCT_VALUES = {
 }
 
 
-def _operand(data, nrows, ncols, domain, values):
+def _operand(data, nrows, ncols, domain, values, max_size=12):
     cells = data.draw(st.dictionaries(
         st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), values,
-        max_size=12)) if nrows and ncols else {}
+        max_size=max_size)) if nrows and ncols else {}
     triples = tuple(Triple(r, c, x) for (r, c), x in sorted(cells.items()))
     return to_compressed(CooMatrix(nrows, ncols, triples, domain),
                          data.draw(st.sampled_from([ROW, COL])))
@@ -918,6 +918,64 @@ def test_mxm_matches_the_slice_pairs_body_where_outputs_fold_to_zero(name, a_val
                                        Triple(1, 1, b_vals[2])), s.domain), orients[1])
     got = _assert_same_product(a, b, s)
     assert [(t.row, t.col) for t in entries_of(got)] == kept
+
+
+# ---------------------------------------------------------------------------
+# mxv pushes where A's slices are indexed like v and pulls otherwise
+
+# select2nd's mul is not commutative, float sums depend on their order, and
+# the signed-int-8 products wrap, so each output must fit once.
+_PUSH_PULL_VALUES = {
+    **_PRODUCT_VALUES,
+    "min_select2nd/signed-int-64": st.integers(-1000, 1000),
+    "plus_times/float-double": st.one_of(st.sampled_from([1e16, -1e16, 1.0, 0.1, -3.0]),
+                                         st.floats(-1e6, 1e6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUSH_PULL_VALUES))
+@pytest.mark.parametrize("transpose_input", [False, True])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mxv_pushes_and_pulls_to_the_same_entries(name, transpose_input, data):
+    """One of the two orientations of A pushes and the other pulls."""
+    s = registry_get(name)
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    a = _operand(data, nrows, ncols, s.domain, _PUSH_PULL_VALUES[name], nrows * ncols)
+    length = nrows if transpose_input else ncols
+    picked = data.draw(st.dictionaries(st.integers(0, max(length - 1, 0)),
+                                       _PUSH_PULL_VALUES[name], max_size=length))
+    for v in (SparseVector(length, tuple(sorted(picked.items())), s.domain),
+              SparseVector(length, (), s.domain)):
+        row, col = (mxv(reorient(a, o), v, s, transpose_input) for o in (ROW, COL))
+        assert check_invariants(row) and check_invariants(col)
+        assert repr(vector_entries(row)) == repr(vector_entries(col))
+
+
+@pytest.mark.parametrize("orientation", [ROW, COL])
+@pytest.mark.parametrize("transpose_input", [False, True])
+def test_mxv_folds_each_output_in_ascending_j(orientation, transpose_input):
+    """1e16 - 1e16 + 0.1 is 0.1 folded in ascending j, and 0.0 descending."""
+    s = registry_get("plus_times/float-double")
+    cells = ((0, 1e16), (1, -1e16), (2, 0.1))
+    triples = tuple(Triple(j, 0, x) if transpose_input else Triple(0, j, x) for j, x in cells)
+    shape = (3, 1) if transpose_input else (1, 3)
+    a = to_compressed(CooMatrix(*shape, triples, FLOAT64), orientation)
+    v = SparseVector(3, ((0, 1.0), (1, 1.0), (2, 1.0)), FLOAT64)
+    assert vector_entries(mxv(a, v, s, transpose_input)) == ((0, 0.1),)
+
+
+def test_pushed_mxv_work_follows_the_vector_not_the_other_rows():
+    s = registry_get("plus_times/signed-int-64")
+    n = 2001
+    v = SparseVector(n, ((0, 2),), INT64)
+    lines = []
+    for others in (10, 2000):
+        triples = (Triple(0, 5, 3),) + tuple(Triple(1 + k, k, 1) for k in range(others))
+        a = to_compressed(CooMatrix(n, n, triples, INT64))
+        assert vector_entries(mxv(a, v, s, transpose_input=True)) == ((5, 6),)
+        lines.append(traced_lines(lambda: mxv(a, v, s, transpose_input=True)))
+    assert lines[0] == lines[1]
 
 
 # ---------------------------------------------------------------------------
