@@ -23,10 +23,9 @@ from . import __version__, algorithms
 from .containers import (
     CompressedMatrix,
     SparseVector,
-    entries_of,
+    _major_indices,
     is_symmetric,
     nvals,
-    to_compressed,
     vector_entries,
     vector_from_entries,
 )
@@ -42,11 +41,7 @@ from .errors import (
     UnsupportedDomainError,
     UsageError,
 )
-from .io_formats import (
-    read_edge_list,
-    read_matrix_market,
-    write_matrix_market,
-)
+from .io_formats import _read_edge_list, _read_matrix_market, write_matrix_market
 from .kernels import mxm, mxv
 from .semirings import registry_get
 
@@ -146,7 +141,7 @@ def _parser() -> _Parser:
 
 def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
     """Read a file as Matrix Market (sniffed from the banner) or as a TSV
-    edge list."""
+    edge list, straight into CSR."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -161,10 +156,8 @@ def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
                 raise UsageError(
                     "--undirected applies to TSV edge lists, not Matrix Market"
                 )
-            coo, _desc = read_matrix_market(lines)
-        else:
-            coo = read_edge_list(lines, undirected=undirected)
-        return to_compressed(coo)
+            return _read_matrix_market(lines)[0]
+        return _read_edge_list(lines, undirected)
     except (ParseError, IndexRangeError, DuplicateIndexError, DomainMismatchError) as e:
         raise _DataError(f"{path}: {e}") from e
 
@@ -176,8 +169,7 @@ def _load_vector(path: str) -> SparseVector:
             f"{path}: vector input must be a single-column matrix, "
             f"got {m.nrows}x{m.ncols}"
         )
-    entries = [(r, v) for r, _c, v in entries_of(m)]
-    return vector_from_entries(m.nrows, entries, m.domain)
+    return vector_from_entries(m.nrows, zip(_major_indices(m.offsets), m.values), m.domain)
 
 
 def _resolve_semiring(name: str, domain):

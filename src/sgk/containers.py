@@ -5,7 +5,9 @@ constructors validate the structural invariants (int indices, sortedness,
 uniqueness, index ranges), so a container that exists is a container that
 is well formed.  The library's own builders, which have already proven
 those invariants of the parts they assemble, make containers through
-`_trusted` instead and skip the re-check.  Matrices use
+`_trusted` instead and skip the re-check.  Parallel entry lists become a
+CSR matrix in one step, `_assemble` (check values, sort, fold duplicates),
+which the readers and `build_from_triples` share.  Matrices use
 the row convention A(i, j) nonzero <=> edge i -> j; indices are 0-based
 everywhere inside the library.
 """
@@ -178,7 +180,7 @@ def build_from_triples(nrows: int, ncols: int,
 
     Duplicate (row, col) positions are folded with dup.op in input order.
     The monoid's domain becomes the matrix domain and every value is
-    checked against it.
+    checked against it.  This is the triple form of `_assemble`'s CSR.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -194,24 +196,32 @@ def build_from_triples(nrows: int, ncols: int,
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    return _assemble(nrows, ncols, rows, cols, vals, dup)
+    return to_tuples(_assemble(nrows, ncols, rows, cols, vals, dup))
 
 
 def _check_values(vals: Sequence, domain: ValueDomain) -> None:
-    """Raise for the first value outside `domain`."""
+    """Raise for the first value outside `domain`.
+
+    Over an integer domain, values that are all ints within its bounds pass
+    in three C-speed passes; any others take the per-value check.
+    """
+    if domain.is_integer and _all_ints(vals) and (
+            not vals or domain.min_value <= min(vals) and max(vals) <= domain.max_value):
+        return
     if not all(map(domain.contains, vals)):
         for v in vals:
             domain.check_value(v)
 
 
 def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: list,
-              dup: Monoid) -> CooMatrix:
-    """The COO matrix of parallel entry lists whose positions are in range.
+              dup: Monoid) -> CompressedMatrix:
+    """The CSR matrix of parallel entry lists whose positions are in range.
 
     Every value is checked against dup's domain.  Entries already in strictly
     increasing (row, col) order are taken as they are; others are put in
     order by a stable sort on row * ncols + col, and each run of one
-    position folds with dup.op in input order.  Each Triple is built once.
+    position folds with dup.op in input order.  The offsets are counted from
+    the ordered rows; the columns and values become the stored arrays.
     """
     _check_values(vals, dup.domain)
     ordered = _sorted_entries(rows, cols, vals, ncols)
@@ -227,7 +237,8 @@ def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: li
             last = list(map(not_, same))
             last.append(True)
             rows, cols, vals = (list(compress(seq, last)) for seq in (rows, cols, vals))
-    return _trusted(CooMatrix, nrows, ncols, _triples(rows, cols, vals), dup.domain)
+    return _trusted(CompressedMatrix, nrows, ncols, ROW, _offsets(rows, nrows), tuple(cols),
+                    tuple(vals), dup.domain)
 
 
 def _sorted_entries(majors: list[int], minors: list[int], vals: list, nminor: int):

@@ -11,6 +11,11 @@ whose every line is a valid entry is parsed a column at a time; any other
 block, one holding a blank, comment or bad line, goes through the per-line
 loop, which skips the first two and raises the error that names the first
 bad line.  Entries keep their input order either way.
+
+Each format has one parse, a private reader that ends in a CSR matrix
+built by `containers._assemble` (`_read_matrix_market`, `_read_edge_list`,
+which the command line loads through).  The public readers return that
+matrix in triple form.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from operator import add, attrgetter, ge, ne
 from typing import IO, Any, Callable, Iterable, NamedTuple, Sequence
 
 from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble,
-                         _slice_sizes, reorient, to_compressed)
+                         _slice_sizes, reorient, to_compressed, to_tuples)
 from .domains import COMPLEX128, FLOAT64, INT64, ValueDomain
 from .errors import IndexRangeError, ParseError, UnserializableDomainError
 from .semirings import plus_monoid
@@ -211,6 +216,12 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
     Returns the matrix and a descriptor whose symmetric flag records what
     the file header declared (the stored pattern is always fully expanded).
     """
+    csr, desc = _read_matrix_market(stream)
+    return to_tuples(csr), desc
+
+
+def _read_matrix_market(stream: Iterable[str]) -> tuple[CompressedMatrix, MatrixDescriptor]:
+    """`read_matrix_market`'s parse, returning the matrix in CSR."""
     lines = iter(stream)
     first = next(lines, None)
     if first is None:
@@ -277,8 +288,8 @@ def read_matrix_market(stream: Iterable[str]) -> tuple[CooMatrix, MatrixDescript
         start += len(block)
     if seen != nnz:
         raise ParseError(start - 1, f"declared {nnz} entries but found {seen}")
-    coo = _assemble(nrows, ncols, *out, plus_monoid(field.domain))
-    return coo, MatrixDescriptor(symmetric=symmetric)
+    csr = _assemble(nrows, ncols, *out, plus_monoid(field.domain))
+    return csr, MatrixDescriptor(symmetric=symmetric)
 
 
 def _csr(m) -> CompressedMatrix:
@@ -353,6 +364,11 @@ def read_edge_list(stream: Iterable[str], undirected: bool = False) -> CooMatrix
     undirected flag mirrors every edge between distinct endpoints;
     self-loops are stored once either way.
     """
+    return to_tuples(_read_edge_list(stream, undirected))
+
+
+def _read_edge_list(stream: Iterable[str], undirected: bool) -> CompressedMatrix:
+    """`read_edge_list`'s parse, returning the matrix in CSR."""
     lines = iter(stream)
     field = None  # set by the first data line
     top = -1

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_lines
-from sgk import __version__, algorithms, io_formats
+from sgk import __version__, algorithms, containers, io_formats
 from sgk.cli import run
 from sgk.errors import InternalInvariantError, LawCheckError, SgkError
 from sgk.io_formats import read_matrix_market
@@ -259,6 +259,26 @@ def test_every_command_reaches_its_handler(capsys, tmp_path, triangle_mm_file, a
         assert isinstance(result, int)
     else:
         assert set(result) == keys
+
+
+@pytest.mark.parametrize("source", ["tsv", "mm"])
+@pytest.mark.parametrize("argv", [argv for argv, _keys in DISPATCH_CASES if argv[0] != "sssp"],
+                         ids=[argv[0] for argv, _keys in DISPATCH_CASES if argv[0] != "sssp"])
+def test_commands_build_no_triple(capsys, monkeypatch, tmp_path, k3_file, triangle_mm_file,
+                                  argv, source):
+    """Loads read straight into CSR, so no command makes a Triple on either
+    input format.  sssp is left out: its weight check lists the entries."""
+    def no_triples(*_args):
+        raise AssertionError("a Triple was built")
+
+    monkeypatch.setattr(containers, "_triples", no_triples)
+    vec = tmp_path / "v.mm"
+    vec.write_text(VECTOR_MM)
+    files = {"mm": k3_file if source == "tsv" else triangle_mm_file, "vec": str(vec),
+             "out": str(tmp_path / "o.mm")}
+    undirected = ["--undirected"] if source == "tsv" else []
+    code, _payload, err = run_json(capsys, [a.format(**files) for a in argv] + undirected)
+    assert (code, err) == (0, "")
 
 
 def test_help_exits_zero(capsys):

@@ -13,6 +13,7 @@ from sgk.containers import (
     CooMatrix,
     SparseVector,
     Triple,
+    _check_values,
     build_from_triples,
     check_invariants,
     densify_vector,
@@ -28,7 +29,7 @@ from sgk.containers import (
     vector_entries,
     vector_from_entries,
 )
-from sgk.domains import FLOAT64, INT64
+from sgk.domains import ALL_DOMAINS, FLOAT64, INT64
 from sgk.errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -92,6 +93,30 @@ def test_earlier_triple_error_is_reported_first():
         build_from_triples(2, 2, [(5, 0, 1.5), (0, 0, 1.5)], dup)
     with pytest.raises(IndexRangeError, match="triple 1"):
         build_from_triples(2, 2, [(0, 0, 1), (0, 2, 1.5)], dup)
+
+
+class _Int(int):
+    """An int subclass, which every integer domain holds."""
+
+
+_INTEGER_DOMAINS = [d for d in ALL_DOMAINS if d.is_integer]
+
+
+@pytest.mark.parametrize("domain", _INTEGER_DOMAINS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_integer_value_check_refuses_what_the_per_value_check_refuses(domain, data):
+    """The one-step check of all-int values within bounds accepts exactly
+    what `contains` accepts, and a refusal names the first value outside."""
+    lo, hi = domain.min_value, domain.max_value
+    vals = data.draw(st.lists(st.sampled_from(
+        [lo, hi, lo - 1, hi + 1, 0, 1, _Int(hi), True, False, 1.0, "1", None]), max_size=6))
+    refused = [v for v in vals if not domain.contains(v)]
+    if not refused:
+        _check_values(vals, domain)
+        return
+    with pytest.raises(DomainMismatchError) as e:
+        _check_values(vals, domain)
+    assert str(e.value) == f"value {refused[0]!r} is not in domain {domain.kind}"
 
 
 def reference_build(triples, dup) -> tuple:

@@ -1,19 +1,22 @@
 import cmath
 import io
+import itertools
 import math
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import coo_matrices, sampler_for
 from sgk import io_formats
+from sgk.cli import run
 from sgk.containers import (
     COL,
     ROW,
     CooMatrix,
+    MatrixDescriptor,
     Triple,
     _slice,
     entries_of,
@@ -869,3 +872,166 @@ def test_valid_blocks_are_parsed_by_columns(monkeypatch, newline):
     assert parsed == [False, True]
     assert [(t.row, t.col) for t in m.triples] == [
         (0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# The CSR readers the command line loads through
+
+
+def _csr_arrays(m):
+    """All that a CSR matrix holds; values by repr, so that 0.0 and -0.0 differ."""
+    return (m.nrows, m.ncols, m.orientation, m.offsets, m.minor_indices,
+            tuple(map(repr, m.values)), m.domain)
+
+
+def _reference_csr(n, k, entries, mirror, domain):
+    """`_csr_arrays` of the n x k matrix of (row, col, value) entries: each
+    position sums its values in input order (integers wrap to the domain),
+    and with `mirror` each entry off the diagonal is followed by its mirror."""
+    acc = {}
+    for r, c, v in entries:
+        for pos in ((r, c), (c, r)) if mirror and r != c else ((r, c),):
+            total = acc[pos] + v if pos in acc else v
+            acc[pos] = domain.wrap(total) if domain.is_integer else total
+    keys = sorted(acc)
+    counts = [0] * (n + 1)
+    for r, _c in keys:
+        counts[r + 1] += 1
+    return (n, k, ROW, tuple(itertools.accumulate(counts)), tuple(c for _r, c in keys),
+            tuple(repr(acc[pos]) for pos in keys), domain)
+
+
+_VALUE_OF = {"real": float, "integer": int, "pattern": lambda: 1,
+             "complex": lambda re, im: complex(float(re), float(im))}
+
+
+def _with_fillers(data, lines, filler):
+    """`lines` with `filler` lines (blank or comment) drawn among them."""
+    out = []
+    for line in lines:
+        out += [line, *([data.draw(filler)] if data.draw(st.integers(0, 4)) == 0 else [])]
+    return out
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_csr_matrix_market_reader_matches_the_public_reader(block, data):
+    """Every field, general and symmetric, with repeated positions in any
+    order, blank and comment lines, and no entries at all."""
+    field = data.draw(st.sampled_from(tuple(_FIELDS)))
+    symmetric = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 4))
+    k = n if symmetric else data.draw(st.integers(1, 4))
+    entries, lines = [], []
+    for _ in range(data.draw(st.integers(0, 12))):
+        r, c = data.draw(st.integers(1, n)), data.draw(st.integers(1, k))
+        if symmetric and r < c:
+            r, c = c, r
+        value = data.draw(_MM_VALUES[field])
+        entries.append((r - 1, c - 1, _VALUE_OF[field](*value.split())))
+        lines.append(_line(data, (str(r), str(c), value)))
+    symmetry = "symmetric" if symmetric else "general"
+    text = [line + "\n" for line in [f"%%MatrixMarket matrix coordinate {field} {symmetry}",
+                                     *_with_fillers(data, [f"{n} {k} {len(entries)}", *lines],
+                                                    st.sampled_from(("% note", "", " \t")))]]
+    csr, desc = io_formats._read_matrix_market(text)
+    coo, public_desc = read_matrix_market(text)
+    assert _csr_arrays(csr) == _csr_arrays(to_compressed(coo))
+    assert _csr_arrays(csr) == _reference_csr(n, k, entries, symmetric, _FIELDS[field].domain)
+    assert desc == public_desc == MatrixDescriptor(symmetric=symmetric)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_csr_edge_list_reader_matches_the_public_reader(block, data):
+    """Weighted and unweighted lists, directed and undirected, with repeated
+    edges in any order, blank and comment lines, and no edges at all."""
+    weighted, undirected = data.draw(st.booleans()), data.draw(st.booleans())
+    entries, lines = [], []
+    for _ in range(data.draw(st.integers(0, 12))):
+        u, v = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        weight = data.draw(_MM_VALUES["real"]) if weighted else ""
+        entries.append((u, v, float(weight) if weighted else 1))
+        lines.append(_line(data, (str(u), str(v), weight)))
+    text = [line + "\n" for line in _with_fillers(data, ["# edges", *lines],
+                                                  st.sampled_from(("# note", "", " \t")))]
+    csr = io_formats._read_edge_list(text, undirected)
+    assert _csr_arrays(csr) == _csr_arrays(to_compressed(read_edge_list(text, undirected)))
+    n = 1 + max((max(u, v) for u, v, _w in entries), default=-1)
+    assert _csr_arrays(csr) == _reference_csr(n, n, entries, undirected,
+                                              FLOAT64 if weighted and entries else INT64)
+
+
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_csr_reader_folds_repeated_floats_in_input_order(block, symmetry):
+    """1e16 + 1 rounds back to 1e16, so each order of the same three values
+    has its own sum."""
+    for values, total in ((("1e16", "1", "-1e16"), 0.0), (("1e16", "-1e16", "1"), 1.0)):
+        text = [f"%%MatrixMarket matrix coordinate real {symmetry}\n", f"2 2 {len(values)}\n",
+                *(f"2 1 {v}\n" for v in values)]
+        csr, _desc = io_formats._read_matrix_market(text)
+        assert csr.values == ((total,) if symmetry == "general" else (total, total))
+        edges = [f"1 0 {v}\n" for v in values]
+        assert io_formats._read_edge_list(edges, False).values == (total,)
+        assert io_formats._read_edge_list(edges, True).values == (total, total)
+
+
+_REAL = "%%MatrixMarket matrix coordinate real general\n"
+_SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("a.mtx", _REAL, "line 1: missing size line"),
+    ("a.mtx", "%%MatrixMarket matrix coordinate real\n2 2 0\n",
+     "line 1: banner needs 5 tokens (got 4)"),
+    ("a.mtx", "%%MatrixMarket matrix array real general\n2 2 0\n",
+     "line 1: unsupported format 'array' (only coordinate)"),
+    ("a.mtx", "%%MatrixMarket matrix coordinate real hermitian\n2 2 0\n",
+     "line 1: unsupported symmetry 'hermitian' (only general or symmetric)"),
+    ("a.mtx", _REAL + "2 2\n", "line 2: size line needs 3 integers (got 2)"),
+    ("a.mtx", _REAL + "2 -2 0\n", "line 2: size values must be non-negative"),
+    ("a.mtx", _REAL + "16777217 1 0\n",
+     "line 2: size 16777217x1 exceeds the dimension limit 16777216"),
+    ("a.mtx", _SYMMETRIC + "2 3 0\n", "line 2: symmetric matrix must be square"),
+    ("a.mtx", _REAL + "2 2 2\n1 1 1.0\n", "line 3: declared 2 entries but found 1"),
+    ("a.mtx", _REAL + "2 2 1\n1 1 1.0\n2 2 1.0\n", "line 4: more than the declared 1 entries"),
+    ("a.mtx", _REAL + "2 2 1\nx 1 1.0\n", "line 3: invalid row index 'x'"),
+    ("a.mtx", _REAL + "2 2 1\n3 1 1.0\n", "line 3: row index 3 out of bounds [1, 2]"),
+    ("a.mtx", _REAL + "2 2 1\n1 1 inf\n", "line 3: non-finite value 'inf'"),
+    ("a.mtx", _REAL + "2 2 1\n1 1\n", "line 3: entry needs 3 tokens for field 'real' (got 2)"),
+    ("a.mtx", _SYMMETRIC + "2 2 1\n1 2 1.0\n",
+     "line 3: symmetric file stores the lower triangle only (entry at row 1 < column 2)"),
+    ("a.mtx", _INTEGER + "2 2 1\n1 1 9223372036854775808\n",
+     "value 9223372036854775808 is not in domain signed-int-64"),
+    ("a.mtx", _INTEGER + "2 2 1\n1 1 1.5\n", "line 3: invalid integer value '1.5'"),
+    ("a.tsv", "0 1\n1 2 3\n", "line 2: expected 2 columns (got 3)"),
+    ("a.tsv", "0 x\n", "line 1: invalid vertex index in '0 x'"),
+    ("a.tsv", "0 -1\n", "line 1: negative vertex index -1"),
+    ("a.tsv", "0 1 w\n", "line 1: invalid weight 'w'"),
+    ("a.tsv", "0 1 nan\n", "line 1: non-finite weight 'nan'"),
+    ("a.tsv", "0 16777216\n", "line 1: vertex index 16777216 needs a dimension above the limit "
+     "16777216"),
+    ("a.tsv", "%%MatrixMarket\n", "line 1: banner needs 5 tokens (got 1)"),
+])
+def test_cli_loads_refuse_malformed_files_with_one_pinned_line(block, capsys, tmp_path,
+                                                               name, text, message):
+    """A malformed matrix or vector file exits 2 with the line that the
+    command line printed before its loads read straight into CSR."""
+    path, good = tmp_path / name, tmp_path / "good.mtx"
+    path.write_text(text)
+    good.write_text(_REAL + "2 2 1\n1 1 1.0\n")
+    for argv in (["info", str(path)], ["mxv", str(good), str(path), "--semiring", "plus_times"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("text, shape", [(_REAL + "2 2 1\n1 2 1.0\n", "2x2"), ("", "0x0")])
+def test_cli_vector_load_refuses_a_matrix_that_is_not_one_column(block, capsys, tmp_path,
+                                                                 text, shape):
+    path, good = tmp_path / "v.mtx", tmp_path / "good.mtx"
+    path.write_text(text)
+    good.write_text(_REAL + "2 2 1\n1 1 1.0\n")
+    assert run(["mxv", str(good), str(path), "--semiring", "plus_times"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: vector input must be a single-column matrix, got {shape}\n")

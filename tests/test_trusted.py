@@ -4,13 +4,15 @@ Containers that the library assembles from parts it has already proven
 well formed are made by `containers._trusted`, which skips
 `__post_init__`.  Here every sgk module's `_trusted` is swapped for the
 public, validating constructor; a seeded sweep of every kernel, conversion,
-reader and algorithm must then raise nothing and return exactly what it
-returns on the trusted path.
+reader, command-line load and algorithm must then raise nothing and return
+exactly what it returns on the trusted path.
 """
 
 import io
+import os
 import random
 import sys
+import tempfile
 
 from helpers import (
     int_sampler,
@@ -21,7 +23,7 @@ from helpers import (
     sampler_for,
     strongly_connected_digraph,
 )
-from sgk import containers, kernels
+from sgk import cli, containers, kernels
 from sgk.algorithms import (
     bfs,
     clustering_coefficients,
@@ -99,8 +101,9 @@ def _kernels(rng: random.Random) -> list:
 
 
 def _builders(rng: random.Random) -> list:
-    """build_from_triples, vector_from_entries, to_compressed and both readers,
-    on input with repeated positions in any order."""
+    """build_from_triples, vector_from_entries, to_compressed, both readers
+    and the command line's loads, on input with repeated positions in any
+    order."""
     n, k = rng.randint(1, 7), rng.randint(1, 7)
     triples = [(rng.randrange(n), rng.randrange(k), rng.randint(-9, 9))
                for _ in range(rng.randint(0, 15))]
@@ -111,11 +114,20 @@ def _builders(rng: random.Random) -> list:
     text = io.StringIO()
     write_matrix_market(random_csr(n, k, 0.4, INT64, int_sampler(), rng), text)
     edges = [f"{r} {c}\n" for r, c, _v in triples]
+    column = io.StringIO()
+    write_matrix_market(random_csr(n, 1, 0.5, INT64, int_sampler(), rng), column)
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, name) for name in ("a.mtx", "a.tsv", "v.mtx")]
+        for path, lines in zip(paths, (text.getvalue(), "".join(edges), column.getvalue())):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(lines)
+        loads = [cli._load_matrix(paths[0], False), cli._load_matrix(paths[1], False),
+                 cli._load_matrix(paths[1], True), cli._load_vector(paths[2])]
     return [
         *coos, *(to_compressed(c, o) for c in coos for o in (ROW, COL)),
         vector_from_entries(n, shuffled, INT64),
         read_matrix_market(text.getvalue().splitlines(keepends=True)),
-        read_edge_list(edges), read_edge_list(edges, undirected=True),
+        read_edge_list(edges), read_edge_list(edges, undirected=True), *loads,
     ]
 
 
