@@ -82,9 +82,9 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     over the boolean or_and semiring.
 
     Level 0 is the source set itself; each step expands the frontier one
-    hop along out-edges and drops everything already visited.  The product
-    is transposed, so on a CSR pattern `mxv` pushes from the frontier along
-    its out-edges and no level reorients the pattern.
+    hop along out-edges and drops everything already visited.  The pattern
+    is put in rows once, so every level's transposed product pushes from
+    the frontier along its out-edges and no level reorients or pulls.
     """
     n = _require_square(a, "bfs")
     src = list(sources)
@@ -92,7 +92,7 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
         raise PreconditionError("bfs: source list is empty")
     _check_index_list(src, n, "bfs source")
     sr = registry_get("or_and")
-    pat = _pattern(a, BOOLEAN, True)
+    pat = reorient(_pattern(a, BOOLEAN, True), ROW)
     frontier = vector_from_entries(n, [(i, True) for i in sorted(src)], BOOLEAN)
     levels: dict[int, int] = {i: 0 for i in src}
     # Visited means holding a level; each apply reads `levels` before that level's updates.
@@ -114,16 +114,15 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     return BfsResult(levels=lv, reached_count=len(levels))
 
 
-def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what: str):
-    """Bellman-Ford relaxation x <- x (+) m'x to a fixed point, m' being m or
-    its transpose, each round multiplying only from the frontier: the
-    entries of x whose value fell in the last round (all of x at first).
-    The add is an exact, idempotent min that keeps the current value on a
-    tie, so a vertex whose value did not fall adds nothing the current
-    values lack, and x after every round is the one the full product gives.
-    The values live in a dict (absent: the add identity).  m is put in rows
-    once, so no round reorients: a transposed product pushes along the
-    frontier's out-edges, and a plain one pulls a dot product per row."""
+def _relax(m: CompressedMatrix, x: SparseVector, sr, what: str):
+    """Bellman-Ford relaxation x <- x (+) m^T x to a fixed point, each round
+    multiplying only from the frontier: the entries of x whose value fell
+    in the last round (all of x at first).  The add is an exact, idempotent
+    min that keeps the current value on a tie, so a vertex whose value did
+    not fall adds nothing the current values lack, and x after every round
+    is the one the full product gives.  The values live in a dict (absent:
+    the add identity).  m is put in rows once, so no round reorients and
+    every round pushes along the frontier's out-edges."""
     m = reorient(m, ROW)
     add, zero = sr.add.op.eval, sr.zero
     cur = dict(vector_entries(x))
@@ -136,7 +135,7 @@ def _relax(m: CompressedMatrix, x: SparseVector, sr, transpose_input: bool, what
     fell_op = IndexUnaryOp("fell", x.domain, x.domain, fell)
     frontier = x
     for _ in range(x.length + 1):
-        pulled = mxv(m, frontier, sr, transpose_input=transpose_input)
+        pulled = mxv(m, frontier, sr, transpose_input=True)
         frontier = apply_unary(pulled, fell_op, drop_zeros_for=zero)
         if not vector_entries(frontier):
             return vector_from_entries(x.length, cur.items(), x.domain)
@@ -174,7 +173,7 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
         if w > heaviest:
             heaviest = w
     sr = registry_get(f"min_plus/{d.kind}")
-    dist = _relax(a, vector_from_entries(n, [(source, zero_w)], d), sr, True,
+    dist = _relax(a, vector_from_entries(n, [(source, zero_w)], d), sr,
                   "sssp_minplus: distances failed to stabilize in n iterations")
     # Tropical + is monotone, so a sum reaches the identity only if the largest
     # distance plus the heaviest weight does; then an edge from a reached
@@ -193,14 +192,14 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     Labels spread along edges with min_select2nd through `_relax`: each
     round takes the minimum label among a vertex's neighbors whose label
     fell in the last round (every vertex in the first) and keeps the
-    smaller of that and its own label.
+    smaller of that and its own label.  The pattern is symmetric, so the
+    transposed product `_relax` pushes is the plain one.
     """
     n = _require_square(a, "connected_components")
     sr = registry_get("min_select2nd")
     pat = _symmetric_pattern(a, "connected_components")
     labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
-    return _relax(pat, labels, sr, False,
-                  "connected_components: labels failed to stabilize")
+    return _relax(pat, labels, sr, "connected_components: labels failed to stabilize")
 
 
 def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:

@@ -14,6 +14,7 @@ from helpers import (
     random_weighted_digraph,
     snapshot,
     strongly_connected_digraph,
+    traced_lines,
     vector_as_dict,
 )
 from sgk import algorithms, kernels
@@ -161,6 +162,17 @@ def test_bfs_matches_queue_oracle():
         src = rng.sample(range(n), rng.randint(1, min(4, n)))
         got = vector_as_dict(bfs(a, src).levels)
         assert got == oracle_bfs(adj, src)
+
+
+def test_bfs_on_a_csc_path_runs_near_linearly():
+    # One level per vertex: pulling a dot product from every stored column
+    # per level would be quadratic, so 4x the vertices would run ~16x the lines.
+    lines = []
+    for n in (100, 400):
+        path = reorient(digraph(n, [(i, i + 1) for i in range(n - 1)]), COL)
+        assert vector_as_dict(bfs(path, [0]).levels) == {i: i for i in range(n)}
+        lines.append(traced_lines(lambda: bfs(path, [0])))
+    assert lines[1] < 8 * lines[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +473,21 @@ _RELAXATIONS = {
 @pytest.mark.parametrize("name, orientation, reorients", [
     ("connected_components", ROW, 0), ("connected_components", COL, 1),
     ("sssp_minplus", ROW, 0), ("sssp_minplus", COL, 1),
-    ("bfs", ROW, 0), ("bfs", COL, 0),
+    ("bfs", ROW, 0), ("bfs", COL, 1),
 ])
 def test_relaxations_orient_their_matrix_once(name, orientation, reorients):
+    """Each traversal puts its matrix in rows at most once, and then every
+    product it forms pushes: a transposed `mxv` on a CSR matrix."""
     algorithm, result_on_ring = _RELAXATIONS[name]
     n = 200
     ring = undirected(n, [(i, (i + 1) % n) for i in range(n)])
     a = reorient(ring, orientation)
     changed = []
+    products = []
+
+    def recording_mxv(m, v, s, transpose_input=False):
+        products.append((m.orientation, transpose_input))
+        return mxv(m, v, s, transpose_input)
 
     def counted(module):
         real = module.reorient
@@ -482,10 +501,12 @@ def test_relaxations_orient_their_matrix_once(name, orientation, reorients):
     with pytest.MonkeyPatch.context() as mp:
         for module in (algorithms, kernels):
             mp.setattr(module, "reorient", counted(module))
+        mp.setattr(algorithms, "mxv", recording_mxv)
         got = algorithm(a)
     assert vector_entries(got) == vector_entries(algorithm(ring))
     assert vector_as_dict(got) == result_on_ring(n)
     assert len(changed) == reorients
+    assert products and set(products) == {(ROW, True)}
 
 
 def _reference_relax(m, x, sr, transpose_input):
