@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .containers import (
     COL,
@@ -122,7 +124,8 @@ def _relax(m: CompressedMatrix, x: SparseVector, sr, what: str):
     not fall adds nothing the current values lack, and x after every round
     is the one the full product gives.  The values live in a dict (absent:
     the add identity).  m is put in rows once, so no round reorients and
-    every round pushes along the frontier's out-edges."""
+    every round pushes along the frontier's out-edges.  sssp_minplus is
+    the one caller."""
     m = reorient(m, ROW)
     add, zero = sr.add.op.eval, sr.zero
     cur = dict(vector_entries(x))
@@ -189,17 +192,52 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     """Label each vertex of an undirected graph with the smallest vertex
     index in its component.
 
-    Labels spread along edges with min_select2nd through `_relax`: each
-    round takes the minimum label among a vertex's neighbors whose label
-    fell in the last round (every vertex in the first) and keeps the
-    smaller of that and its own label.  The pattern is symmetric, so the
-    transposed product `_relax` pushes is the plain one.
+    FastSV hooking and shortcutting (Zhang, Azad and Hu, arXiv:1910.05971)
+    over a parent list f, starting from f(u) = u, and the grandparents
+    gf = f o f.  Each round takes mngf(u), the smallest grandparent among
+    u's neighbours, from one min_select2nd product, then hooks f(f(u)) and
+    f(u) down to mngf(u) and shortcuts f(u) down to gf(u); it stops when no
+    grandparent falls.  f only falls and f(u) <= u, so grandparents only
+    fall too: the product pushes only the grandparents that fell in the
+    last round (all of them in the first) and folds them by min into mngf,
+    which equals the full product, and each hook or shortcut visits only
+    the vertices whose mngf or gf fell, the rest being no-ops.  At the
+    fixed point f(u) = f(f(u)) <= f(v) across every edge, so f is constant
+    on each component, where it is the component's smallest vertex.  The
+    rounds number O(log n) in practice, against one per hop of diameter
+    for label propagation.
     """
     n = _require_square(a, "connected_components")
     sr = registry_get("min_select2nd")
-    pat = _symmetric_pattern(a, "connected_components")
-    labels = vector_from_entries(n, [(i, i) for i in range(n)], INT64)
-    return _relax(pat, labels, sr, "connected_components: labels failed to stabilize")
+    pat = reorient(_symmetric_pattern(a, "connected_components"), ROW)
+    # One int object per vertex, shared by f, the products and the result.
+    vertices = list(range(n))
+    f = list(vertices)
+    mngf = list(vertices)
+    gf = fell = vertices
+    for _ in range(n + 1):
+        nbr = mxv(pat, vector_from_entries(n, [(v, gf[v]) for v in fell], INT64), sr,
+                  transpose_input=True)
+        hooked = [(u, x) for u, x in vector_entries(nbr) if x < mngf[u]]
+        for u, x in hooked:
+            mngf[u] = x
+            parent = f[u]
+            if x < f[parent]:
+                f[parent] = x
+        for u, x in hooked:
+            if x < f[u]:
+                f[u] = x
+        for u in fell:
+            if gf[u] < f[u]:
+                f[u] = gf[u]
+        new = list(map(f.__getitem__, f))
+        fell = list(compress(vertices, map(ne, new, gf)))
+        gf = new
+        if not fell:
+            # The labels are f; drop the round's lists before building them.
+            del gf, mngf, new, nbr, hooked
+            return vector_from_entries(n, zip(vertices, f), INT64)
+    raise InternalInvariantError("connected_components: parents failed to stabilize")
 
 
 def _simple_pattern(a: CompressedMatrix, name: str) -> tuple:

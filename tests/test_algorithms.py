@@ -388,6 +388,22 @@ def test_components_match_union_find_oracle():
         assert got == dict(enumerate(oracle_components(n, edges)))
 
 
+def test_components_on_a_path_run_near_linearly():
+    # Label propagation takes one round per hop, so 4x the vertices ran ~16x
+    # the lines; hooking and shortcutting take O(log n) rounds.
+    lines = []
+    for n in (100, 400):
+        order = list(range(n))
+        random.Random(n).shuffle(order)
+        for labels in (range(n), order):
+            edges = [(labels[i], labels[i + 1]) for i in range(n - 1)]
+            got = vector_as_dict(connected_components(undirected(n, edges)))
+            assert got == dict(enumerate(oracle_components(n, edges)))
+        path = undirected(n, [(i, i + 1) for i in range(n - 1)])
+        lines.append(traced_lines(lambda: connected_components(path)))
+    assert lines[1] < 8 * lines[0]
+
+
 def _reference_components(a):
     """Reference: the previous `connected_components`, which added a diagonal
     of ones to the pattern so that each product kept a vertex's own label.
@@ -444,7 +460,8 @@ def test_components_match_the_diagonal_reference_and_the_oracle(case):
     want, rounds = _reference_components(a)
     assert vector_entries(got) == vector_entries(want)
     assert vector_as_dict(got) == dict(enumerate(oracle_components(n, edges)))
-    assert len(products) == rounds
+    # FastSV needs no more products than label propagation has rounds.
+    assert len(products) <= rounds
 
 
 @given(_component_graphs(), st.data())
@@ -595,7 +612,7 @@ def test_components_match_the_dense_reference_relaxation(case):
         mp.setattr(algorithms, "mxv", counted_mxv)
         got = connected_components(a)
     assert _entry_reprs(got) == _entry_reprs(want)
-    assert len(products) == rounds
+    assert len(products) <= rounds
 
 
 def _pattern_complement(v):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import traced_lines
-from sgk import __version__, algorithms, containers, io_formats
+from sgk import __version__, algorithms, cli, containers, io_formats
 from sgk.cli import run
 from sgk.errors import InternalInvariantError, LawCheckError, SgkError
 from sgk.io_formats import read_matrix_market
@@ -289,6 +290,22 @@ def test_help_exits_zero(capsys):
 def test_version_prints_the_package_version_and_exits_zero(capsys):
     assert _in_process(capsys, ["--version"]) == (f"sgk {__version__}\n", "", 0)
     assert _one_process(["--version"]) == ("sgk 0.1.0\n", "", 0)
+
+
+def test_main_runs_the_command_in_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["sgk", "--version"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == f"sgk {__version__}\n"
+
+
+def test_running_the_module_exits_with_the_command_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["sgk", "--version"])
+    # Run a fresh copy as __main__, as `python -m sgk.cli` does.
+    monkeypatch.delitem(sys.modules, "sgk.cli")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("sgk.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == f"sgk {__version__}\n"
 
 
 def test_stdout_deterministic_across_runs(capsys, k3_file):

@@ -952,6 +952,61 @@ def test_mxv_pushes_and_pulls_to_the_same_entries(name, transpose_input, data):
         assert repr(vector_entries(row)) == repr(vector_entries(col))
 
 
+_FULL_PULL_VALUES = {
+    "plus_times/signed-int-64": _near_bounds(INT64),
+    "plus_times/float-double": _PUSH_PULL_VALUES["plus_times/float-double"],
+    "min_plus/float-double": _PRODUCT_VALUES["min_plus/float-double"],
+    "max_plus/float-double": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                       st.sampled_from([-math.inf, -0.0, 0.5])),
+    "min_max/signed-int-64": _near_bounds(INT64),
+    # select2nd's mul is not commutative, which pins the operand order.
+    "min_select2nd/signed-int-64": _near_bounds(INT64),
+}
+
+
+def _dict_pull(a, v, s, transpose_input):
+    """w(i) = add-fold from the zero over ascending j of mul(A'(i, j), v(j)),
+    over the j where both are stored, with zeros dropped."""
+    have = dict(vector_entries(v))
+    rows: dict[int, dict[int, Any]] = {}
+    for r, c, x in entries_of(a):
+        i, j = (c, r) if transpose_input else (r, c)
+        if j in have:
+            rows.setdefault(i, {})[j] = x
+    out = []
+    for i in sorted(rows):
+        acc = s.add.identity
+        for j in sorted(rows[i]):
+            acc = s.add.op.eval(acc, s.mul.eval(rows[i][j], have[j]))
+        if not acc == s.add.identity:
+            out.append((i, acc))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_PULL_VALUES))
+@pytest.mark.parametrize("transpose_input", [False, True])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mxv_reads_a_full_vector_by_position_like_the_sparse_pull(name, transpose_input,
+                                                                  data):
+    """A v storing every index takes the positional pull (or push, in the
+    other orientation); the same v less one entry takes the sparse one."""
+    s = registry_get(name)
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    a = _operand(data, nrows, ncols, s.domain, _FULL_PULL_VALUES[name], nrows * ncols)
+    length = nrows if transpose_input else ncols
+    full = data.draw(st.lists(_FULL_PULL_VALUES[name], min_size=length, max_size=length))
+    vs = [SparseVector(length, tuple(enumerate(full)), s.domain)]
+    if length:
+        gone = data.draw(st.integers(0, length - 1))
+        vs.append(SparseVector(length, tuple((j, x) for j, x in enumerate(full) if j != gone),
+                               s.domain))
+    for v in vs:
+        got = mxv(a, v, s, transpose_input)
+        assert check_invariants(got)
+        assert repr(vector_entries(got)) == repr(_dict_pull(a, v, s, transpose_input))
+
+
 @pytest.mark.parametrize("orientation", [ROW, COL])
 @pytest.mark.parametrize("transpose_input", [False, True])
 def test_mxv_folds_each_output_in_ascending_j(orientation, transpose_input):
