@@ -10,7 +10,9 @@ Both readers take their data lines in blocks of _BLOCK lines.  A block
 whose every line is a valid entry is parsed a column at a time; any other
 block, one holding a blank, comment or bad line, goes through the per-line
 loop, which skips the first two and raises the error that names the first
-bad line.  Entries keep their input order either way.
+bad line.  Entries keep their input order either way.  One split of the
+block's lines, joined with a NUL token between each two, both checks that
+every line holds the field's tokens and gives the columns (`_columns`).
 
 Each format has one parse, a private reader that ends in a CSR matrix
 built by `containers._assemble` (`_read_matrix_market`, `_read_edge_list`,
@@ -132,16 +134,26 @@ def _tokens(raw: str, comment: str) -> list[str]:
 
 
 def _columns(block: list[str], want: int, comment: str) -> list[list[str]] | None:
-    """The `want` token columns of a block whose every line holds `want`
-    tokens and no `comment` character; None for any other block."""
-    text = "\n".join(block)
-    if comment in text:
+    r"""The `want` token columns of a block whose every line holds `want`
+    tokens, no `comment` character and no NUL; None for any other block.
+
+    One split checks the whole block.  The lines are joined with " \0 ",
+    and NUL is not whitespace, so each join splits into a "\0" token; when
+    the text holds no other NUL, the "\0" tokens are exactly the joins.
+    Every line then holds `want` tokens exactly when there are
+    (want + 1) * len(block) - 1 tokens and every (want + 1)-th one from
+    index `want` is a "\0", and column k is every (want + 1)-th token from
+    index k.
+    """
+    seps = len(block) - 1
+    text = " \0 ".join(block)
+    if comment in text or text.count("\0") != seps:
         return None
     flat = text.split()
-    if (len(flat) != want * len(block)
-            or list(map(len, map(str.split, block))).count(want) != len(block)):
+    step = want + 1
+    if len(flat) != step * len(block) - 1 or flat[want::step].count("\0") != seps:
         return None
-    return [flat[k::want] for k in range(want)]
+    return [flat[k::step] for k in range(want)]
 
 
 def _entries(block: list[str], field: _Field, comment: str) -> tuple[list, list, list] | None:
@@ -339,8 +351,10 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     name = serializable_field(csr)
     stream.write(f"%%MatrixMarket matrix coordinate {name} general\n")
     stream.write(f"{csr.nrows} {csr.ncols} {len(csr.values)}\n")
-    rows = chain.from_iterable(map(repeat, map(str, range(1, csr.nrows + 1)),
-                                   _slice_sizes(csr.offsets)))
+    # Each stored row's label is made once and repeated over its entries;
+    # empty rows get none.
+    labels = map(str, compress(range(1, csr.nrows + 1), _slice_sizes(csr.offsets)))
+    rows = chain.from_iterable(map(repeat, labels, filter(None, _slice_sizes(csr.offsets))))
     cols = map(str, map(add, csr.minor_indices, repeat(1)))
     lines = map(" ".join, zip(rows, cols, *_FIELDS[name].texts(csr.values)))
     while block := list(islice(lines, _BLOCK)):

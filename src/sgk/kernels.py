@@ -46,6 +46,7 @@ from .containers import (
     _major_indices,
     _offsets,
     _slice,
+    _slice_sizes,
     _sorted_entries,
     _stored_slices,
     _trusted,
@@ -166,10 +167,11 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
     A is read in the orientation it is stored in.  When its slices are
     indexed by j (CSR with the flag, CSC without), each v(j) in ascending j
     pushes along slice j into a sparse accumulator, so the work follows the
-    slices v selects; otherwise each stored slice pulls a dot product with
-    v, which reads v(j) from a positional list when v stores every index
-    and looks it up otherwise.  Both fold each output in ascending j, so
-    their results are equal.
+    slices v selects (only the stored ones when v stores every index);
+    otherwise each stored slice pulls a dot product with v, which reads
+    v(j) from a positional list when v stores every index and looks it up
+    otherwise.  Both fold each output in ascending j, so their results are
+    equal.
     """
     in_len = a.nrows if transpose_input else a.ncols
     out_len = a.ncols if transpose_input else a.nrows
@@ -182,8 +184,12 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
     zero = s.add.identity
     if (a.orientation == ROW) == transpose_input:
         # A's slices are indexed like v: push, scattering slice j for each v(j).
+        # When v stores every index, v(j) is at position j, so only the v(j)
+        # whose slice is stored are pushed, picked at C speed.
+        pushed = (compress(v.entries, _slice_sizes(a.offsets)) if len(v.entries) == in_len
+                  else v.entries)
         return _trusted(SparseVector, out_len,
-                        tuple(zip(*_row_product(v.entries, a, add, mul, fit, zero, False))),
+                        tuple(zip(*_row_product(pushed, a, add, mul, fit, zero, False))),
                         s.domain)
     offsets, minors, values = a.offsets, a.minor_indices, a.values
     entries = []

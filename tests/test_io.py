@@ -722,12 +722,16 @@ _MM_VALUES = {
 # Lines each reader refuses or skips.  `{v}` is a valid value, `{r}` and
 # `{c}` the first row and column past the declared size; "1 2 {v}" is above
 # the diagonal.  A short line next to a long one keeps the block's token
-# count right.
+# count right, and so does a short line before one led by a NUL token, which
+# also puts that NUL where the block check expects the separator between
+# the two lines.
 _MM_BAD = ("x 1 {v}", "1 y {v}", "0 1 {v}", "1 0 {v}", "{r} 1 {v}", "1 {c} {v}", "1 2 {v}",
            "1.5 1 {v}", "1 1 nan", "1 1 inf 0", "1 1 z", "1 1 {v} 9", "1", "% comment", "",
-           "   ", "{short}\n{long}")
+           "   ", "{short}\n{long}", "1 \x00 {v}", "\x00", "1\x001 1 {v}",
+           "{short} \x00\n{short}", "{short}\n\x00 1 {short}")
 _EL_BAD = ("a 1", "0 b", "-1 0", "0 -1", "0 1 x", "0 1 inf", "0", "0 1 2 3", "# comment",
-           "", "\t", "16777216 0", "0 16777216", "0 1.5", "{short}\n{long}")
+           "", "\t", "16777216 0", "0 16777216", "0 1.5", "{short}\n{long}", "0 \x00",
+           "\x00", "0\x001 1", "{short} \x00\n{short}", "{short}\n\x00 1 {short}")
 _FILLER = st.sampled_from(("% note", "# note", "", "  \t"))
 _SEPARATORS = st.sampled_from((" ", "\t", "  ", " \t "))
 
@@ -844,6 +848,36 @@ def test_each_refused_edge_line_matches_the_per_line_loop_anywhere_in_a_block(we
             by_blocks, by_lines = _both_paths(
                 lambda s: read_edge_list(s, undirected=undirected), lines, block_size, "\n")
             assert by_blocks == by_lines, (lines, block_size)
+
+
+_CLEAN_TOKENS = st.sampled_from(("1", "22", "-2.5", "x", "1e3"))
+# Tokens that hold a NUL or a comment character; "%" is each reader's
+# comment character or the other's.
+_POISON_TOKENS = st.sampled_from(("\x00", "1\x002", "\x00\x00", "%", "#", "1%"))
+_WHITESPACE = st.sampled_from((" ", "\t", "  ", "\x0b", "\x1f", "\u2028"))
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_columns_match_a_split_of_each_line(data):
+    """`_columns` gives the columns of each line's own split when every
+    line holds `want` tokens, no comment character and no NUL, and None
+    for any other block."""
+    want = data.draw(st.integers(1, 4))
+    comment = data.draw(st.sampled_from("%#"))
+    block = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        count = data.draw(st.sampled_from((want, want, want, want - 1, want + 1, 0)))
+        tokens = [data.draw(_CLEAN_TOKENS) for _ in range(count)]
+        for _ in range(data.draw(st.sampled_from((0, 0, 0, 1)))):
+            tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_POISON_TOKENS))
+        line = "".join(data.draw(_WHITESPACE) + t for t in tokens)
+        block.append(line + data.draw(st.sampled_from(("", " ", "\n", "\r\n"))))
+    split = [line.split() for line in block]
+    valid = (all(len(tokens) == want for tokens in split)
+             and not any(comment in line or "\x00" in line for line in block))
+    expected = [[tokens[k] for tokens in split] for k in range(want)] if valid else None
+    assert _columns(block, want, comment) == expected
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", None])

@@ -1033,6 +1033,17 @@ def test_pushed_mxv_work_follows_the_vector_not_the_other_rows():
     assert lines[0] == lines[1]
 
 
+def test_pushed_mxv_with_a_full_vector_follows_the_stored_rows():
+    s = registry_get("plus_times/signed-int-64")
+    lines = []
+    for n in (2**10, 2**16):
+        a = to_compressed(CooMatrix(n, n, (Triple(0, 5, 3), Triple(n - 1, 0, 2)), INT64))
+        v = SparseVector(n, tuple((j, j + 1) for j in range(n)), INT64)
+        assert vector_entries(mxv(a, v, s, transpose_input=True)) == ((0, 2 * n), (5, 3))
+        lines.append(traced_lines(lambda: mxv(a, v, s, transpose_input=True)))
+    assert lines[0] == lines[1]
+
+
 # ---------------------------------------------------------------------------
 # The other matrix-returning kernels against their per-slice-pairs bodies
 
