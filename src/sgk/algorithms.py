@@ -4,7 +4,9 @@ Every function here treats an n x n sparse matrix as a directed graph on
 vertices 0..n-1 with an edge i -> j for each stored A(i, j).  No algorithm
 touches the storage arrays of a container; everything is phrased through
 the kernels, the semiring registry, and the public container helpers, so
-each algorithm works unchanged for any storage layout.
+each algorithm works unchanged for any storage layout.  A vector built
+from indices an algorithm generated itself, or took from a kernel's
+result, goes through `containers._sorted_vector`, which re-checks nothing.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from .containers import (
     CompressedMatrix,
     SparseVector,
     _check_index_list,
+    _sorted_vector,
     densify_vector,
-    entries_of,
     is_symmetric,
     nvals,
     reorient,
+    values_of,
     vector_as_column,
     vector_entries,
-    vector_from_entries,
 )
 from .domains import BOOLEAN, FLOAT64, INT64
 from .errors import InternalInvariantError, PreconditionError
@@ -95,7 +97,7 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     _check_index_list(src, n, "bfs source")
     sr = registry_get("or_and")
     pat = reorient(_pattern(a, BOOLEAN, True), ROW)
-    frontier = vector_from_entries(n, [(i, True) for i in sorted(src)], BOOLEAN)
+    frontier = _sorted_vector(n, [(i, True) for i in src], BOOLEAN)
     levels: dict[int, int] = {i: 0 for i in src}
     # Visited means holding a level; each apply reads `levels` before that level's updates.
     unvisited = IndexUnaryOp("unvisited", BOOLEAN, BOOLEAN, lambda _x, i, _j: i not in levels)
@@ -110,10 +112,7 @@ def bfs(a: CompressedMatrix, sources) -> BfsResult:
     else:
         if vector_entries(frontier):
             raise InternalInvariantError("bfs: frontier survived n expansion steps")
-    lv = vector_from_entries(
-        n, [(i, levels[i]) for i in sorted(levels)], INT64
-    )
-    return BfsResult(levels=lv, reached_count=len(levels))
+    return BfsResult(levels=_sorted_vector(n, levels.items(), INT64), reached_count=len(levels))
 
 
 def _relax(m: CompressedMatrix, x: SparseVector, sr, what: str):
@@ -123,10 +122,9 @@ def _relax(m: CompressedMatrix, x: SparseVector, sr, what: str):
     min that keeps the current value on a tie, so a vertex whose value did
     not fall adds nothing the current values lack, and x after every round
     is the one the full product gives.  The values live in a dict (absent:
-    the add identity).  m is put in rows once, so no round reorients and
+    the add identity).  m is stored in rows, so no round reorients and
     every round pushes along the frontier's out-edges.  sssp_minplus is
     the one caller."""
-    m = reorient(m, ROW)
     add, zero = sr.add.op.eval, sr.zero
     cur = dict(vector_entries(x))
 
@@ -141,7 +139,7 @@ def _relax(m: CompressedMatrix, x: SparseVector, sr, what: str):
         pulled = mxv(m, frontier, sr, transpose_input=True)
         frontier = apply_unary(pulled, fell_op, drop_zeros_for=zero)
         if not vector_entries(frontier):
-            return vector_from_entries(x.length, cur.items(), x.domain)
+            return _sorted_vector(x.length, cur.items(), x.domain)
         cur.update(vector_entries(frontier))
     raise InternalInvariantError(what)
 
@@ -150,13 +148,16 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     """Single-source shortest paths by Bellman-Ford relaxation over the
     min_plus semiring.
 
-    Edge weights must be non-negative (and finite for float domains).  The
-    distances start at the source alone, every other vertex reading as the
-    min identity, and each round pushes along the out-edges of the vertices
-    whose distance fell in the last round and keeps the smaller of each
-    vertex's distance and those it is offered.  A reachable vertex whose
-    shortest distance reaches the identity (the domain's infinity) cannot
-    be represented and is refused.
+    Edge weights must be non-negative (and finite for float domains); they
+    are checked in C-speed passes over the stored values, and only a bad
+    weight takes the ordered loop that names the first one in row-major
+    order.  The matrix is put in rows once, for that check and for every
+    round of `_relax`.  The distances start at the source alone, every
+    other vertex reading as the min identity, and each round pushes along
+    the out-edges of the vertices whose distance fell in the last round
+    and keeps the smaller of each vertex's distance and those it is
+    offered.  A reachable vertex whose shortest distance reaches the
+    identity (the domain's infinity) cannot be represented and is refused.
     """
     n = _require_square(a, "sssp_minplus")
     d = a.domain
@@ -167,16 +168,18 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     _check_index_list([source], n, "sssp source")
     is_float = d.is_float
     zero_w = 0.0 if is_float else 0
-    heaviest = zero_w
-    for _r, _c, w in entries_of(a):
-        if is_float and not math.isfinite(w):
-            raise PreconditionError(f"sssp_minplus: non-finite edge weight {w!r}")
-        if w < 0:
-            raise PreconditionError(f"sssp_minplus: negative edge weight {w!r}")
-        if w > heaviest:
-            heaviest = w
+    a = reorient(a, ROW)
+    weights = values_of(a)
+    if is_float and not all(map(math.isfinite, weights)) or min(weights, default=0) < 0:
+        for w in weights:
+            if is_float and not math.isfinite(w):
+                raise PreconditionError(f"sssp_minplus: non-finite edge weight {w!r}")
+            if w < 0:
+                raise PreconditionError(f"sssp_minplus: negative edge weight {w!r}")
+    # Seeded with the zero weight, so that no positive weight gives 0.0, not -0.0.
+    heaviest = max(zero_w, max(weights, default=zero_w))
     sr = registry_get(f"min_plus/{d.kind}")
-    dist = _relax(a, vector_from_entries(n, [(source, zero_w)], d), sr,
+    dist = _relax(a, _sorted_vector(n, [(source, zero_w)], d), sr,
                   "sssp_minplus: distances failed to stabilize in n iterations")
     # Tropical + is monotone, so a sum reaches the identity only if the largest
     # distance plus the heaviest weight does; then an edge from a reached
@@ -216,7 +219,7 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
     mngf = list(vertices)
     gf = fell = vertices
     for _ in range(n + 1):
-        nbr = mxv(pat, vector_from_entries(n, [(v, gf[v]) for v in fell], INT64), sr,
+        nbr = mxv(pat, _sorted_vector(n, [(v, gf[v]) for v in fell], INT64), sr,
                   transpose_input=True)
         hooked = [(u, x) for u, x in vector_entries(nbr) if x < mngf[u]]
         for u, x in hooked:
@@ -236,7 +239,7 @@ def connected_components(a: CompressedMatrix) -> SparseVector:
         if not fell:
             # The labels are f; drop the round's lists before building them.
             del gf, mngf, new, nbr, hooked
-            return vector_from_entries(n, zip(vertices, f), INT64)
+            return _sorted_vector(n, zip(vertices, f), INT64)
     raise InternalInvariantError("connected_components: parents failed to stabilize")
 
 
@@ -334,7 +337,7 @@ def pagerank(a: CompressedMatrix, alpha: float = 0.85, max_iters: int = 100,
     base = (1.0 - alpha) / n
     damp = UnaryOp("damp", FLOAT64, FLOAT64, lambda x: alpha * x + base)
     absdiff = BinaryOp("absdiff", FLOAT64, lambda x, y: abs(x - y))
-    ranks = vector_from_entries(n, [(i, 1.0 / n) for i in range(n)], FLOAT64)
+    ranks = _sorted_vector(n, [(i, 1.0 / n) for i in range(n)], FLOAT64)
     residual = float("inf")
     iterations = max_iters
     for k in range(1, max_iters + 1):

@@ -24,10 +24,10 @@ from .containers import (
     CompressedMatrix,
     SparseVector,
     _major_indices,
+    _sorted_vector,
     is_symmetric,
     nvals,
     vector_entries,
-    vector_from_entries,
 )
 from .errors import (
     DomainMismatchError,
@@ -169,7 +169,7 @@ def _load_vector(path: str) -> SparseVector:
             f"{path}: vector input must be a single-column matrix, "
             f"got {m.nrows}x{m.ncols}"
         )
-    return vector_from_entries(m.nrows, zip(_major_indices(m.offsets), m.values), m.domain)
+    return _sorted_vector(m.nrows, zip(_major_indices(m.offsets), m.values), m.domain)
 
 
 def _resolve_semiring(name: str, domain):
@@ -184,14 +184,12 @@ def _resolve_semiring(name: str, domain):
         raise UsageError(str(e)) from e
 
 
-def _json_value(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 def _pairs(v: SparseVector) -> list:
-    return [[i, _json_value(x)] for i, x in vector_entries(v)]
+    """The [index, value] pairs of a vector's entries; a complex value
+    becomes [real, imag]."""
+    if v.domain.is_complex:
+        return [[i, [x.real, x.imag]] for i, x in vector_entries(v)]
+    return list(map(list, vector_entries(v)))
 
 
 # Command handlers: each takes the loaded first input and the parsed

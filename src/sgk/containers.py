@@ -5,11 +5,15 @@ constructors validate the structural invariants (int indices, sortedness,
 uniqueness, index ranges), so a container that exists is a container that
 is well formed.  The library's own builders, which have already proven
 those invariants of the parts they assemble, make containers through
-`_trusted` instead and skip the re-check.  Parallel entry lists become a
-CSR matrix in one step, `_assemble` (check values, sort, fold duplicates),
-which the readers and `build_from_triples` share.  Matrices use
-the row convention A(i, j) nonzero <=> edge i -> j; indices are 0-based
-everywhere inside the library.
+`_trusted` instead and skip the re-check; a vector whose entries the
+library made itself goes through `_sorted_vector`, which only puts them in
+index order.  Parallel entry lists become a CSR matrix in one step,
+`_assemble` (sort, fold duplicates), which the readers and
+`build_from_triples` share.  Values are checked against the domain once,
+where they enter: by `build_from_triples` and `vector_from_entries`, and
+by the Matrix Market `integer` reader, the one field whose parse can leave
+its domain.  Matrices use the row convention A(i, j) nonzero <=> edge
+i -> j; indices are 0-based everywhere inside the library.
 """
 
 from __future__ import annotations
@@ -180,7 +184,8 @@ def build_from_triples(nrows: int, ncols: int,
 
     Duplicate (row, col) positions are folded with dup.op in input order.
     The monoid's domain becomes the matrix domain and every value is
-    checked against it.  This is the triple form of `_assemble`'s CSR.
+    checked against it, before any is folded.  This is the triple form of
+    `_assemble`'s CSR.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -196,6 +201,7 @@ def build_from_triples(nrows: int, ncols: int,
         rows.append(r)
         cols.append(c)
         vals.append(v)
+    _check_values(vals, dup.domain)
     return to_tuples(_assemble(nrows, ncols, rows, cols, vals, dup))
 
 
@@ -215,15 +221,16 @@ def _check_values(vals: Sequence, domain: ValueDomain) -> None:
 
 def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: list,
               dup: Monoid) -> CompressedMatrix:
-    """The CSR matrix of parallel entry lists whose positions are in range.
+    """The CSR matrix of parallel entry lists whose positions are in range
+    and whose values lie in dup's domain (callers check what they cannot
+    vouch for).
 
-    Every value is checked against dup's domain.  Entries already in strictly
-    increasing (row, col) order are taken as they are; others are put in
-    order by a stable sort on row * ncols + col, and each run of one
-    position folds with dup.op in input order.  The offsets are counted from
-    the ordered rows; the columns and values become the stored arrays.
+    Entries already in strictly increasing (row, col) order are taken as
+    they are; others are put in order by a stable sort on row * ncols + col,
+    and each run of one position folds with dup.op in input order.  The
+    offsets are counted from the ordered rows; the columns and values become
+    the stored arrays.
     """
-    _check_values(vals, dup.domain)
     ordered = _sorted_entries(rows, cols, vals, ncols)
     if ordered is not None:
         rows, cols, vals = ordered
@@ -277,6 +284,14 @@ def vector_from_entries(length: int,
     _check_values(list(map(itemgetter(1), pairs)), domain)
     pairs.sort(key=itemgetter(0))
     return _trusted(SparseVector, length, tuple(pairs), domain)
+
+
+def _sorted_vector(length: int, entries: Iterable[tuple[int, Any]],
+                   domain: ValueDomain) -> SparseVector:
+    """`vector_from_entries` for (index, value) tuples the library made
+    itself, their indices distinct ints in [0, length) and their values in
+    `domain`: they are put in index order and nothing is re-checked."""
+    return _trusted(SparseVector, length, tuple(sorted(entries, key=itemgetter(0))), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +416,11 @@ def entries_of(m) -> tuple[Triple, ...]:
     raise TypeError(f"entries_of is not defined for {type(m).__name__}")
 
 
+def values_of(m: CompressedMatrix) -> tuple:
+    """All stored values, in the (row, col) order of `entries_of`."""
+    return reorient(m, ROW).values
+
+
 def vector_entries(v: SparseVector) -> tuple[tuple[int, Any], ...]:
     """All stored entries as (index, value) pairs, sorted by index."""
     return v.entries
@@ -422,7 +442,8 @@ def vector_as_column(v: SparseVector) -> CompressedMatrix:
     """View a length-n vector as an n x 1 matrix (for matrix-level folds),
     stored as its single column so a column fold needs no reorient."""
     return _trusted(CompressedMatrix, v.length, 1, COL, (0, len(v.entries)),
-                    tuple(i for i, _ in v.entries), tuple(x for _, x in v.entries), v.domain)
+                    tuple(map(itemgetter(0), v.entries)), tuple(map(itemgetter(1), v.entries)),
+                    v.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ every line holds the field's tokens and gives the columns (`_columns`).
 Each format has one parse, a private reader that ends in a CSR matrix
 built by `containers._assemble` (`_read_matrix_market`, `_read_edge_list`,
 which the command line loads through).  The public readers return that
-matrix in triple form.
+matrix in triple form.  Only the Matrix Market `integer` field checks its
+values against its domain, once the whole file has parsed: an int can lie
+outside signed-int-64, while the pattern, real and complex parses give only
+values their domain holds.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
-from operator import add, attrgetter, ge, ne
+from operator import attrgetter, ge, ne
 from typing import IO, Any, Callable, Iterable, NamedTuple, Sequence
 
 from .containers import (ROW, CompressedMatrix, CooMatrix, MatrixDescriptor, _assemble,
-                         _slice_sizes, reorient, to_compressed, to_tuples)
+                         _check_values, _slice_sizes, reorient, to_compressed, to_tuples)
 from .domains import COMPLEX128, FLOAT64, INT64, ValueDomain
 from .errors import IndexRangeError, ParseError, UnserializableDomainError
 from .semirings import plus_monoid
@@ -300,6 +303,8 @@ def _read_matrix_market(stream: Iterable[str]) -> tuple[CompressedMatrix, Matrix
         start += len(block)
     if seen != nnz:
         raise ParseError(start - 1, f"declared {nnz} entries but found {seen}")
+    if header.field == "integer":
+        _check_values(out[2], field.domain)
     csr = _assemble(nrows, ncols, *out, plus_monoid(field.domain))
     return csr, MatrixDescriptor(symmetric=symmetric)
 
@@ -355,7 +360,9 @@ def write_matrix_market(m, stream: IO[str]) -> None:
     # empty rows get none.
     labels = map(str, compress(range(1, csr.nrows + 1), _slice_sizes(csr.offsets)))
     rows = chain.from_iterable(map(repeat, labels, filter(None, _slice_sizes(csr.offsets))))
-    cols = map(str, map(add, csr.minor_indices, repeat(1)))
+    # Each stored column's label is made once and looked up per entry.
+    col_labels = {j: str(j + 1) for j in set(csr.minor_indices)}
+    cols = map(col_labels.__getitem__, csr.minor_indices)
     lines = map(" ".join, zip(rows, cols, *_FIELDS[name].texts(csr.values)))
     while block := list(islice(lines, _BLOCK)):
         stream.write("\n".join(block))

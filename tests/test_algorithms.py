@@ -220,6 +220,49 @@ def test_sssp_rejects_bad_weights_and_domains():
             sssp_minplus(reorient(weighted(2, edges), COL), 0)
 
 
+@pytest.mark.parametrize("edges, message", [
+    # Column order meets the bad weight of row 2 first; row order names row 0's.
+    ([(0, 2, -1.0), (2, 0, math.nan)], "negative edge weight -1.0"),
+    ([(0, 2, math.inf), (2, 0, -1.0)], "non-finite edge weight inf"),
+    ([(0, 1, 1.0), (1, 2, -0.5), (2, 0, -math.inf), (2, 1, 3.0)], "negative edge weight -0.5"),
+    ([(1, 2, -0.0), (2, 0, -math.inf), (2, 1, -3.0)], "non-finite edge weight -inf"),
+])
+def test_sssp_names_the_first_bad_weight_in_row_order_on_csc_input(edges, message):
+    a = reorient(weighted(3, edges), COL)
+    with pytest.raises(PreconditionError, match=f"^sssp_minplus: {message}$"):
+        sssp_minplus(a, 0)
+
+
+@pytest.mark.parametrize("edges, checked, want", [
+    ([(0, 1, -0.0), (1, 2, -0.0)], False, [(0, "0.0"), (1, "0.0"), (2, "0.0")]),
+    ([(0, 1, -0.0), (1, 2, 1.5), (2, 3, -0.0)], False,
+     [(0, "0.0"), (1, "0.0"), (2, "1.5"), (3, "1.5")]),
+    ([(0, 1, sys.float_info.max), (1, 2, -0.0)], True,
+     [(0, "0.0"), (1, repr(sys.float_info.max)), (2, repr(sys.float_info.max))]),
+    ([(0, 1, sys.float_info.max), (1, 2, sys.float_info.max), (2, 3, -0.0)], True, None),
+])
+def test_sssp_negative_zero_weights_are_zero_weights(edges, checked, want):
+    """-0.0 is no negative weight and no heaviest one: distances read 0.0,
+    and the overflow check runs only when a positive weight can overflow."""
+    checks = []
+
+    def counted_scale_matrix(*args):
+        checks.append(args)
+        return scale_matrix(*args)
+
+    for orientation in (ROW, COL):
+        a = reorient(weighted(4, edges), orientation)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms, "scale_matrix", counted_scale_matrix)
+            if want is None:
+                with pytest.raises(PreconditionError, match="^sssp_minplus: a shortest distance "
+                                                             "overflows float-double$"):
+                    sssp_minplus(a, 0)
+            else:
+                assert _entry_reprs(sssp_minplus(a, 0)) == want
+    assert len(checks) == 2 * int(checked)
+
+
 def test_sssp_distances_satisfy_triangle_inequality():
     rng = random.Random(71)
     for _ in range(15):

@@ -25,6 +25,7 @@ from sgk.containers import (
     to_compressed,
     to_tuples,
     transpose,
+    values_of,
     vector_as_column,
     vector_entries,
     vector_from_entries,
@@ -469,6 +470,13 @@ def test_entries_of_matches_the_per_triple_reference(coo):
         assert all(type(t) is Triple for t in got)
         assert got == _reference_entries_of(m) == coo.triples
         assert to_tuples(m) == coo
+
+
+@given(coo_matrices())
+@example(CooMatrix(5, 4, (Triple(1, 3, 8), Triple(2, 0, 7), Triple(4, 2, 9)), INT64))
+def test_values_of_is_the_values_half_of_entries_of(coo):
+    for orientation in (ROW, COL):
+        assert values_of(to_compressed(coo, orientation)) == tuple(t.val for t in coo.triples)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from sgk.containers import (
     MatrixDescriptor,
     Triple,
     _slice,
+    check_invariants,
     entries_of,
     is_symmetric,
     to_compressed,
@@ -493,6 +494,16 @@ def test_column_writer_matches_the_per_entry_writer_across_blocks(domain, form):
     assert _column_written(m) == _per_entry_written(m)
 
 
+@pytest.mark.parametrize("form", FORMS)
+def test_column_writer_labels_two_entries_of_a_large_declared_size(form):
+    """Column labels come from the stored columns alone, whatever the
+    declared size: the 2-entry 2^20 x 2^20 file writes as it always did."""
+    n = 2**20
+    m = form(CooMatrix(n, n, (Triple(0, n - 1, 7), Triple(n - 1, 0, -3)), INT64))
+    assert _column_written(m) == ("%%MatrixMarket matrix coordinate integer general\n"
+                                  f"{n} {n} 2\n1 {n} 7\n{n} 1 -3\n")
+
+
 # ---------------------------------------------------------------------------
 # Edge lists
 
@@ -610,6 +621,7 @@ def test_reader_errors_name_the_line_and_quote_it(block, read, text, message):
 
 
 _INTEGER = "%%MatrixMarket matrix coordinate integer general\n"
+_INTEGER_SYMMETRIC = "%%MatrixMarket matrix coordinate integer symmetric\n"
 
 
 @pytest.mark.parametrize("read, text, error, message", [
@@ -636,6 +648,10 @@ _INTEGER = "%%MatrixMarket matrix coordinate integer general\n"
      "value -9223372036854775809 is not in domain signed-int-64"),
     (mm, _INTEGER + "2 2 2\n1 1 9223372036854775808\n2 2 x\n", ParseError,
      "line 4: invalid integer value 'x'"),
+    (mm, _INTEGER + "2 2 2\n1 1 9223372036854775808\n2 2 -9223372036854775809\n",
+     DomainMismatchError, "value 9223372036854775808 is not in domain signed-int-64"),
+    (mm, _INTEGER_SYMMETRIC + "2 2 2\n1 1 1\n2 1 -9223372036854775809\n", DomainMismatchError,
+     "value -9223372036854775809 is not in domain signed-int-64"),
 ])
 def test_reader_range_and_domain_errors(block, read, text, error, message):
     with pytest.raises(error) as e:
@@ -1037,6 +1053,8 @@ _SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric\n"
      "line 3: symmetric file stores the lower triangle only (entry at row 1 < column 2)"),
     ("a.mtx", _INTEGER + "2 2 1\n1 1 9223372036854775808\n",
      "value 9223372036854775808 is not in domain signed-int-64"),
+    ("a.mtx", _INTEGER_SYMMETRIC + "2 2 2\n1 1 1\n2 1 9223372036854775808\n",
+     "value 9223372036854775808 is not in domain signed-int-64"),
     ("a.mtx", _INTEGER + "2 2 1\n1 1 1.5\n", "line 3: invalid integer value '1.5'"),
     ("a.tsv", "0 1\n1 2 3\n", "line 2: expected 2 columns (got 3)"),
     ("a.tsv", "0 x\n", "line 1: invalid vertex index in '0 x'"),
@@ -1069,3 +1087,45 @@ def test_cli_vector_load_refuses_a_matrix_that_is_not_one_column(block, capsys, 
     assert run(["mxv", str(good), str(path), "--semiring", "plus_times"]) == 3
     assert capsys.readouterr().err == (
         f"error: {path}: vector input must be a single-column matrix, got {shape}\n")
+
+
+_PATTERN = "%%MatrixMarket matrix coordinate pattern general\n"
+_COMPLEX = "%%MatrixMarket matrix coordinate complex general\n"
+
+
+@pytest.mark.parametrize("text", [
+    _PATTERN + "3 3 3\n1 1\n3 2\n1 1\n",
+    "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n",
+    _REAL + "3 3 3\n1 1 1.5\n3 2 -2e300\n1 1 0.25\n",
+    _SYMMETRIC + "3 3 2\n3 1 -0.0\n2 2 1e-320\n",
+    _COMPLEX + "2 2 3\n1 2 1.5 -2\n2 1 0 1e-300\n1 2 1 1\n",
+    "0 1\n2 1\n0 1\n",
+    "# weighted\n0 1 2.5\n1 1 -1e-9\n0 1 -2.5\n",
+    "",
+])
+def test_pattern_real_and_complex_loads_hold_only_domain_values(block, text):
+    """Only the integer field checks its values after parsing; every other
+    load's values are in its domain by construction, duplicates folded."""
+    lines = text.splitlines(keepends=True)
+    if text.startswith("%%"):
+        loads = [io_formats._read_matrix_market(lines)[0], read_matrix_market(lines)[0]]
+    else:
+        loads = [io_formats._read_edge_list(lines, u) for u in (False, True)]
+        loads += [read_edge_list(lines, undirected=u) for u in (False, True)]
+    for m in loads:
+        assert check_invariants(m)
+
+
+@pytest.mark.parametrize("domain", [BOOLEAN, FLOAT64, COMPLEX128], ids=lambda d: d.kind)
+def test_pattern_real_and_complex_round_trips_hold_only_domain_values(domain):
+    rng = random.Random(31)
+    sample = {BOOLEAN: lambda: True, FLOAT64: lambda: rng.uniform(-1e300, 1e300),
+              COMPLEX128: lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1e-300))}[domain]
+    for _ in range(20):
+        n, k = rng.randint(1, 9), rng.randint(1, 9)
+        cells = sorted({(rng.randrange(n), rng.randrange(k)) for _ in range(rng.randint(0, 30))})
+        buf = io.StringIO()
+        write_matrix_market(CooMatrix(n, k, tuple(Triple(r, c, sample()) for r, c in cells),
+                                      domain), buf)
+        csr, _desc = io_formats._read_matrix_market(buf.getvalue().splitlines(keepends=True))
+        assert check_invariants(csr)

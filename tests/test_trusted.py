@@ -5,7 +5,9 @@ well formed are made by `containers._trusted`, which skips
 `__post_init__`.  Here every sgk module's `_trusted` is swapped for the
 public, validating constructor; a seeded sweep of every kernel, conversion,
 reader, command-line load and algorithm must then raise nothing and return
-exactly what it returns on the trusted path.
+exactly what it returns on the trusted path.  Neither path checks values,
+so every vector an algorithm or a load returns is also run through
+`check_invariants`, which does.
 """
 
 import io
@@ -25,6 +27,8 @@ from helpers import (
 )
 from sgk import cli, containers, kernels
 from sgk.algorithms import (
+    BfsResult,
+    PageRankResult,
     bfs,
     clustering_coefficients,
     connected_components,
@@ -36,7 +40,11 @@ from sgk.algorithms import (
 from sgk.containers import (
     COL,
     ROW,
+    CompressedMatrix,
+    CooMatrix,
+    SparseVector,
     build_from_triples,
+    check_invariants,
     densify_vector,
     entries_of,
     is_symmetric,
@@ -48,7 +56,7 @@ from sgk.containers import (
     vector_entries,
     vector_from_entries,
 )
-from sgk.domains import INT64
+from sgk.domains import FLOAT64, INT64
 from sgk.io_formats import read_edge_list, read_matrix_market, write_matrix_market
 from sgk.kernels import (
     apply_unary,
@@ -132,18 +140,25 @@ def _builders(rng: random.Random) -> list:
 
 
 def _algorithms(rng: random.Random) -> list:
+    """Every algorithm, on CSR and CSC inputs, with int and float weights."""
     n = rng.randint(2, 8)
     simple, _ = random_undirected(n, 0.4, rng, INT64)
     directed, _ = strongly_connected_digraph(n, 0.3, rng, INT64)
     weighted, _ = random_weighted_digraph(n, 0.4, rng, INT64, float_weights=False)
+    weighted_f, _ = random_weighted_digraph(n, 0.4, rng, FLOAT64, float_weights=True)
     source = rng.randrange(n)
-    return [
-        bfs(directed, [source]), bfs(simple, [source, (source + 1) % n]),
-        sssp_minplus(weighted, source), connected_components(simple),
-        triangle_count(simple), clustering_coefficients(simple), pagerank(directed),
-        degrees(weighted, "in"), degrees(weighted, "out"), is_symmetric(simple),
-        is_symmetric(directed),
-    ]
+    out = []
+    for orientation in (ROW, COL):
+        simple, directed, weighted, weighted_f = (
+            reorient(m, orientation) for m in (simple, directed, weighted, weighted_f))
+        out += [
+            bfs(directed, [source]), bfs(simple, [source, (source + 1) % n]),
+            sssp_minplus(weighted, source), sssp_minplus(weighted_f, source),
+            connected_components(simple), triangle_count(simple),
+            clustering_coefficients(simple), pagerank(directed), degrees(weighted, "in"),
+            degrees(weighted, "out"), is_symmetric(simple), is_symmetric(directed),
+        ]
+    return out
 
 
 def _sweep() -> list:
@@ -169,3 +184,30 @@ def test_trusted_builds_equal_validated_builds(monkeypatch):
         monkeypatch.setattr(mod, "_trusted", validating)
     assert _sweep() == trusted
     assert {cls.__name__ for cls in checked} == {"CooMatrix", "CompressedMatrix", "SparseVector"}
+
+
+def _containers(results: list) -> list:
+    """The containers among `results`, a result object's vector included."""
+    out = []
+    for x in results:
+        if isinstance(x, BfsResult):
+            x = x.levels
+        elif isinstance(x, PageRankResult):
+            x = x.ranks
+        elif isinstance(x, tuple) and x and isinstance(x[0], CooMatrix):
+            x = x[0]  # read_matrix_market's (matrix, descriptor)
+        if isinstance(x, (CooMatrix, CompressedMatrix, SparseVector)):
+            out.append(x)
+    return out
+
+
+def test_algorithm_and_load_results_hold_only_domain_values():
+    """`__post_init__` checks structure only; trusted vector builds and the
+    readers' pattern, real and complex fields skip the value check, which
+    `check_invariants` makes."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        results = _containers([*_builders(rng), *_algorithms(rng)])
+        assert sum(isinstance(x, SparseVector) for x in results) >= 15
+        for x in results:
+            assert check_invariants(x)
