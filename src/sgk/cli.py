@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from functools import cache
+from operator import itemgetter
 
 from . import __version__, algorithms
 from .containers import (
@@ -217,8 +218,8 @@ def _sssp(m, ns):
 
 def _cc(m, ns):
     labels = algorithms.connected_components(m)
-    distinct = {x for _i, x in vector_entries(labels)}
-    return {"labels": _pairs(labels), "components": len(distinct)}
+    components = len(set(map(itemgetter(1), vector_entries(labels))))
+    return {"labels": _pairs(labels), "components": components}
 
 
 def _triangles(m, ns):

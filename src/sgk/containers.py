@@ -7,13 +7,15 @@ is well formed.  The library's own builders, which have already proven
 those invariants of the parts they assemble, make containers through
 `_trusted` instead and skip the re-check; a vector whose entries the
 library made itself goes through `_sorted_vector`, which only puts them in
-index order.  Parallel entry lists become a CSR matrix in one step,
-`_assemble` (sort, fold duplicates), which the readers and
-`build_from_triples` share.  Values are checked against the domain once,
-where they enter: by `build_from_triples` and `vector_from_entries`, and
-by the Matrix Market `integer` reader, the one field whose parse can leave
-its domain.  Matrices use the row convention A(i, j) nonzero <=> edge
-i -> j; indices are 0-based everywhere inside the library.
+index order.  Parallel (major, minor, value) entry lists become a matrix
+in either orientation in one step, `_assemble` (sort, and fold repeated
+positions when given a monoid), which the readers, `build_from_triples`,
+`to_compressed` and the kernels share.  Values are checked against the
+domain once, where they enter: by `build_from_triples` and
+`vector_from_entries`, and by the Matrix Market `integer` reader, the one
+field whose parse can leave its domain.  Matrices use the row convention
+A(i, j) nonzero <=> edge i -> j; indices are 0-based everywhere inside the
+library.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def build_from_triples(nrows: int, ncols: int,
     Duplicate (row, col) positions are folded with dup.op in input order.
     The monoid's domain becomes the matrix domain and every value is
     checked against it, before any is folded.  This is the triple form of
-    `_assemble`'s CSR.
+    the CSR matrix `_assemble` builds from the triples.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -202,7 +204,7 @@ def build_from_triples(nrows: int, ncols: int,
         cols.append(c)
         vals.append(v)
     _check_values(vals, dup.domain)
-    return to_tuples(_assemble(nrows, ncols, rows, cols, vals, dup))
+    return to_tuples(_assemble(nrows, ncols, ROW, rows, cols, vals, dup.domain, dup))
 
 
 def _check_values(vals: Sequence, domain: ValueDomain) -> None:
@@ -219,44 +221,41 @@ def _check_values(vals: Sequence, domain: ValueDomain) -> None:
             domain.check_value(v)
 
 
-def _assemble(nrows: int, ncols: int, rows: list[int], cols: list[int], vals: list,
-              dup: Monoid) -> CompressedMatrix:
-    """The CSR matrix of parallel entry lists whose positions are in range
-    and whose values lie in dup's domain (callers check what they cannot
-    vouch for).
+def _assemble(nrows: int, ncols: int, orientation: str, majors: list[int], minors: list[int],
+              vals: list, domain: ValueDomain, dup: Monoid | None = None) -> CompressedMatrix:
+    """The matrix stored in `orientation` whose entries are the parallel
+    (major, minor, value) lists, their positions in range and their values
+    in `domain` (callers check what they cannot vouch for).
 
-    Entries already in strictly increasing (row, col) order are taken as
-    they are; others are put in order by a stable sort on row * ncols + col,
-    and each run of one position folds with dup.op in input order.  The
-    offsets are counted from the ordered rows; the columns and values become
-    the stored arrays.
+    Entries already in strictly increasing (major, minor) order are taken as
+    they are; others are put in order by a stable sort on
+    major * nminor + minor.  Without `dup` the positions must be distinct;
+    with it, each run of one position folds with dup.op in input order.
+    The offsets are counted from the ordered majors; the minors and values
+    become the stored arrays.
     """
-    ordered = _sorted_entries(rows, cols, vals, ncols)
-    if ordered is not None:
-        rows, cols, vals = ordered
-        # same[k]: entry k + 1 repeats the position of entry k.
-        same = list(map(and_, map(eq, rows, islice(rows, 1, None)),
-                        map(eq, cols, islice(cols, 1, None))))
-        if any(same):
-            op = dup.op.eval
-            for k in compress(range(1, len(vals)), same):
-                vals[k] = op(vals[k - 1], vals[k])  # the run's last entry holds its fold
-            last = list(map(not_, same))
-            last.append(True)
-            rows, cols, vals = (list(compress(seq, last)) for seq in (rows, cols, vals))
-    return _trusted(CompressedMatrix, nrows, ncols, ROW, _offsets(rows, nrows), tuple(cols),
-                    tuple(vals), dup.domain)
-
-
-def _sorted_entries(majors: list[int], minors: list[int], vals: list, nminor: int):
-    """None when parallel entry lists are strictly increasing by (major, minor); else the
-    lists in a stable sort on major * nminor + minor, repeated positions in input order."""
+    nmajor, nminor = (nrows, ncols) if orientation == ROW else (ncols, nrows)
     keys = list(map(add, map(mul, majors, repeat(nminor)), minors))
-    if all(map(lt, keys, islice(keys, 1, None))):
-        return None
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    order = (None if all(map(lt, keys, islice(keys, 1, None)))
+             else sorted(range(len(keys)), key=keys.__getitem__))
     del keys
-    return tuple(list(map(seq.__getitem__, order)) for seq in (majors, minors, vals))
+    if order is not None:
+        majors, minors, vals = (list(map(seq.__getitem__, order)) for seq in (majors, minors, vals))
+        del order
+        if dup is not None:
+            # same[k]: entry k + 1 repeats the position of entry k.
+            same = list(map(and_, map(eq, majors, islice(majors, 1, None)),
+                            map(eq, minors, islice(minors, 1, None))))
+            if any(same):
+                op = dup.op.eval
+                for k in compress(range(1, len(vals)), same):
+                    vals[k] = op(vals[k - 1], vals[k])  # the run's last entry holds its fold
+                last = list(map(not_, same))
+                last.append(True)
+                majors, minors, vals = (list(compress(seq, last))
+                                        for seq in (majors, minors, vals))
+    return _trusted(CompressedMatrix, nrows, ncols, orientation, _offsets(majors, nmajor),
+                    tuple(minors), tuple(vals), domain)
 
 
 def _triples(rows: Iterable[int], cols: Iterable[int], vals: Iterable) -> tuple[Triple, ...]:
@@ -282,8 +281,7 @@ def vector_from_entries(length: int,
     pairs = [(i, v) for i, v in entries]
     _check_index_list(map(itemgetter(0), pairs), length, "vector")
     _check_values(list(map(itemgetter(1), pairs)), domain)
-    pairs.sort(key=itemgetter(0))
-    return _trusted(SparseVector, length, tuple(pairs), domain)
+    return _sorted_vector(length, pairs, domain)
 
 
 def _sorted_vector(length: int, entries: Iterable[tuple[int, Any]],
@@ -330,12 +328,9 @@ def _slice(m: CompressedMatrix, i: int) -> Iterable[tuple[int, Any]]:
 
 
 def to_compressed(m: CooMatrix, orientation: str = ROW) -> CompressedMatrix:
-    """CSR straight from the (row, col)-sorted triples, then `reorient`."""
-    offsets = _offsets(map(itemgetter(0), m.triples), m.nrows)
-    csr = _trusted(CompressedMatrix, m.nrows, m.ncols, ROW, offsets,
-                   tuple(map(itemgetter(1), m.triples)), tuple(map(itemgetter(2), m.triples)),
-                   m.domain)
-    return reorient(csr, orientation)
+    """CSR assembled from the (row, col)-sorted triples, then `reorient`."""
+    rows, cols, vals = (list(map(itemgetter(k), m.triples)) for k in range(3))
+    return reorient(_assemble(m.nrows, m.ncols, ROW, rows, cols, vals, m.domain), orientation)
 
 
 def to_tuples(m: CompressedMatrix) -> CooMatrix:

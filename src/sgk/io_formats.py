@@ -305,7 +305,7 @@ def _read_matrix_market(stream: Iterable[str]) -> tuple[CompressedMatrix, Matrix
         raise ParseError(start - 1, f"declared {nnz} entries but found {seen}")
     if header.field == "integer":
         _check_values(out[2], field.domain)
-    csr = _assemble(nrows, ncols, *out, plus_monoid(field.domain))
+    csr = _assemble(nrows, ncols, ROW, *out, field.domain, plus_monoid(field.domain))
     return csr, MatrixDescriptor(symmetric=symmetric)
 
 
@@ -433,4 +433,5 @@ def _read_edge_list(stream: Iterable[str], undirected: bool) -> CompressedMatrix
         _extend(out, *parsed[:3], undirected)
         start += len(block)
     n = top + 1
-    return _assemble(n, n, *out, plus_monoid((field or _FIELDS["pattern"]).domain))
+    domain = (field or _FIELDS["pattern"]).domain
+    return _assemble(n, n, ROW, *out, domain, plus_monoid(domain))

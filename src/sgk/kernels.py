@@ -8,8 +8,9 @@ when the matrix's slices are indexed like the vector it pushes, as the
 Gustavson row of the vector alone, and otherwise it pulls a dot product per
 stored slice, reading v by position when v stores every index.  Every other
 matrix-returning kernel walks its first argument in its own orientation and
-hands the result's entries to one builder, `_build`, as parallel (major,
-minor, value) lists.
+hands the result's entries, as parallel (major, minor, value) lists at
+distinct positions, to `containers._assemble`, the assembler every matrix
+made from entry lists goes through.
 Every per-slice loop walks only the stored slices (`_stored_slices`), so
 Python work follows the stored entries, not the declared dimensions.
 Where a semiring is supplied, any computed value equal to the additive
@@ -42,12 +43,11 @@ from .containers import (
     ROW,
     CompressedMatrix,
     SparseVector,
+    _assemble,
     _check_index_list,
     _major_indices,
-    _offsets,
     _slice,
     _slice_sizes,
-    _sorted_entries,
     _stored_slices,
     _trusted,
     reorient,
@@ -72,17 +72,6 @@ def _require_domain(expected, *containers) -> None:
                 f"container domain {c.domain.kind} does not match "
                 f"operation domain {expected.kind}"
             )
-
-
-def _build(nrows: int, ncols: int, orientation: str, majors: list[int], minors: list[int],
-           values: list, domain) -> CompressedMatrix:
-    """The matrix stored in `orientation` whose entries are the parallel
-    (major, minor, value) lists, at distinct positions in any order."""
-    nmajor, nminor = (nrows, ncols) if orientation == ROW else (ncols, nrows)
-    majors, minors, values = (_sorted_entries(majors, minors, values, nminor)
-                              or (majors, minors, values))
-    return _trusted(CompressedMatrix, nrows, ncols, orientation, _offsets(majors, nmajor),
-                    tuple(minors), tuple(values), domain)
 
 
 def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
@@ -249,7 +238,7 @@ def ewise_mult(a: CompressedMatrix, b: CompressedMatrix, op: BinaryOp) -> Compre
                 majors.append(i)
                 minors.append(j)
                 values.append(fn(x, other[j]))
-    return _build(a.nrows, a.ncols, a.orientation, majors, minors, values, op.domain)
+    return _assemble(a.nrows, a.ncols, a.orientation, majors, minors, values, op.domain)
 
 
 def reduce(a: CompressedMatrix, m: Monoid, axis: str) -> SparseVector:
@@ -295,7 +284,7 @@ def subref(a: CompressedMatrix, rows: Sequence[int], cols: Sequence[int]) -> Com
                 majors.append(p)
                 minors.append(at[j])
                 values.append(x)
-    return _build(len(rows), len(cols), a.orientation, majors, minors, values, a.domain)
+    return _assemble(len(rows), len(cols), a.orientation, majors, minors, values, a.domain)
 
 
 def subassign(c: CompressedMatrix, rows: Sequence[int], cols: Sequence[int],
@@ -324,7 +313,7 @@ def subassign(c: CompressedMatrix, rows: Sequence[int], cols: Sequence[int],
     majors = [*compress(majors, keep), *map(sel_major.__getitem__, _major_indices(br.offsets))]
     minors = [*compress(c.minor_indices, keep), *map(sel_minor.__getitem__, br.minor_indices)]
     values = [*compress(c.values, keep), *br.values]
-    return _build(c.nrows, c.ncols, c.orientation, majors, minors, values, c.domain)
+    return _assemble(c.nrows, c.ncols, c.orientation, majors, minors, values, c.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +341,8 @@ def scale_matrix(a: CompressedMatrix, d: SparseVector, op: BinaryOp,
     keep = list(map(factors.__contains__, at))
     values = list(map(op.eval, compress(a.values, keep),
                       map(factors.__getitem__, compress(at, keep))))
-    return _build(a.nrows, a.ncols, a.orientation, list(compress(majors, keep)),
-                  list(compress(a.minor_indices, keep)), values, op.domain)
+    return _assemble(a.nrows, a.ncols, a.orientation, list(compress(majors, keep)),
+                     list(compress(a.minor_indices, keep)), values, op.domain)
 
 
 def scale_vector(v: SparseVector, w: SparseVector, op: BinaryOp) -> SparseVector:
@@ -405,5 +394,6 @@ def apply_unary(a, f: UnaryOp | IndexUnaryOp, drop_zeros_for=None):
     if drop_zeros_for is None:
         return _trusted(CompressedMatrix, m.nrows, m.ncols, m.orientation, m.offsets, minors,
                         tuple(values), f.output_domain)
-    return _build(m.nrows, m.ncols, m.orientation, list(compress(_major_indices(m.offsets), keep)),
-                  minors, values, f.output_domain)
+    return _assemble(m.nrows, m.ncols, m.orientation,
+                     list(compress(_major_indices(m.offsets), keep)), minors, values,
+                     f.output_domain)

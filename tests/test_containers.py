@@ -13,6 +13,7 @@ from sgk.containers import (
     CooMatrix,
     SparseVector,
     Triple,
+    _assemble,
     _check_values,
     build_from_triples,
     check_invariants,
@@ -130,6 +131,11 @@ def reference_build(triples, dup) -> tuple:
     return tuple((r, c, seen[(r, c)]) for r, c in sorted(seen))
 
 
+def typed(triples) -> list:
+    """(row, col, type, value) of each triple, so that 1 and 1.0 or True differ."""
+    return [(r, c, type(v), v) for r, c, v in triples]
+
+
 # Values whose fold depends on its order: float sums that round away the
 # small term, int-64 sums that wrap, and booleans.
 _FOLD_CASES = {
@@ -156,10 +162,21 @@ def test_build_matches_the_dict_and_sort_reference(case, data):
     else:
         triples = data.draw(st.permutations(triples))
     m = build_from_triples(nrows, ncols, triples, dup)
-    typed = [(r, c, type(v), v) for r, c, v in m.triples]
-    assert typed == [(r, c, type(v), v) for r, c, v in reference_build(triples, dup)]
+    assert typed(m.triples) == typed(reference_build(triples, dup))
     assert all(type(t) is Triple for t in m.triples)
     assert check_invariants(m)
+    # The assembler itself, in either orientation: with `dup` over the same
+    # entries, and without it over distinct positions in shuffled order, as
+    # the kernels call it.
+    orientation = data.draw(st.sampled_from((ROW, COL)))
+    distinct = data.draw(st.permutations(list({t[:2]: t for t in triples}.values())))
+    for entries, fold in ((triples, dup), (distinct, None)):
+        rows, cols, vals = ([t[k] for t in entries] for k in range(3))
+        majors, minors = (rows, cols) if orientation == ROW else (cols, rows)
+        a = _assemble(nrows, ncols, orientation, majors, minors, vals, dup.domain, fold)
+        assert a.orientation == orientation
+        assert typed(entries_of(a)) == typed(reference_build(entries, dup))
+        assert check_invariants(a)
 
 
 # ---------------------------------------------------------------------------
