@@ -6,11 +6,13 @@ argument.  mxm writes its product row by row, each row one Gustavson row
 (`_row_product`).  mxv reads its matrix as stored and never reorients it:
 when the matrix's slices are indexed like the vector it pushes, as the
 Gustavson row of the vector alone, and otherwise it pulls a dot product per
-stored slice, reading v by position when v stores every index.  Every other
-matrix-returning kernel walks its first argument in its own orientation and
-hands the result's entries, as parallel (major, minor, value) lists at
-distinct positions, to `containers._assemble`, the assembler every matrix
-made from entry lists goes through.
+stored slice in one loop, reading v by position when v stores every index
+and looking it up otherwise.  reduce folds each stored slice in one
+`functools.reduce` call.  Every other matrix-returning kernel walks its
+first argument in its own orientation and hands the result's entries, as
+parallel (major, minor, value) lists at distinct positions, to
+`containers._assemble`, the assembler every matrix made from entry lists
+goes through.
 Every per-slice loop walks only the stored slices (`_stored_slices`), so
 Python work follows the stored entries, not the declared dimensions.
 Where a semiring is supplied, any computed value equal to the additive
@@ -34,6 +36,7 @@ the integers onto Z/2^w, so the result equals wrapping after every step.
 
 from __future__ import annotations
 
+from functools import reduce as fold
 from itertools import accumulate, compress, repeat
 from operator import eq, not_
 from typing import Any, Sequence
@@ -157,10 +160,10 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
     indexed by j (CSR with the flag, CSC without), each v(j) in ascending j
     pushes along slice j into a sparse accumulator, so the work follows the
     slices v selects (only the stored ones when v stores every index);
-    otherwise each stored slice pulls a dot product with v, which reads
-    v(j) from a positional list when v stores every index and looks it up
-    otherwise.  Both fold each output in ascending j, so their results are
-    equal.
+    otherwise one loop over the stored slices pulls a dot product with v per
+    slice, reading v(j) from a positional list when v stores every index and
+    looking it up otherwise, and fits and zero-tests each once.  Both fold
+    each output in ascending j, so their results are equal.
     """
     in_len = a.nrows if transpose_input else a.ncols
     out_len = a.ncols if transpose_input else a.nrows
@@ -171,46 +174,37 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
     _require_domain(s.domain, a, v)
     add, mul, fit = _fold_ops(s.add.op, s.mul)
     zero = s.add.identity
+    full = len(v.entries) == in_len
     if (a.orientation == ROW) == transpose_input:
         # A's slices are indexed like v: push, scattering slice j for each v(j).
         # When v stores every index, v(j) is at position j, so only the v(j)
         # whose slice is stored are pushed, picked at C speed.
-        pushed = (compress(v.entries, _slice_sizes(a.offsets)) if len(v.entries) == in_len
-                  else v.entries)
+        pushed = compress(v.entries, _slice_sizes(a.offsets)) if full else v.entries
         return _trusted(SparseVector, out_len,
                         tuple(zip(*_row_product(pushed, a, add, mul, fit, zero, False))),
                         s.domain)
+    # Pull.  A full v (pagerank's ranks, the only pull among the algorithms)
+    # is read by position, which beat a zip over each slice (1.52 against
+    # 1.82 ms per pull on the seed-3 `iterate` graph); a sparse v is looked
+    # up.  A slice that meets no entry of v folds to the identity, which
+    # `fit` leaves as it is and the zero test drops.  Each case keeps its
+    # own inner loop, so the positional one pays for no missing-entry test.
     offsets, minors, values = a.offsets, a.minor_indices, a.values
+    lookup = [y for _j, y in v.entries] if full else dict(v.entries).get
     entries = []
-    if len(v.entries) == in_len:
-        # v stores every index (pagerank's ranks, the only pull among the
-        # algorithms), so v(j) is at position j and no product can miss.
-        # Positional indexing beat a zip over each slice here (1.52 against
-        # 1.82 ms per pull on the seed-3 `iterate` graph).
-        x = [y for _j, y in v.entries]
-        for i, lo, hi in _stored_slices(offsets):
-            acc = zero
-            for p in range(lo, hi):
-                acc = add(acc, mul(values[p], x[minors[p]]))
-            if fit is not None:
-                acc = fit(acc)
-            if not acc == zero:
-                entries.append((i, acc))
-        return _trusted(SparseVector, out_len, tuple(entries), s.domain)
-    # A sparse v: a slice that meets none of its entries stores nothing.
-    get = dict(v.entries).get
     for i, lo, hi in _stored_slices(offsets):
         acc = zero
-        hit = False
-        for p in range(lo, hi):
-            x = get(minors[p], _MISSING)
-            if x is _MISSING:
-                continue
-            acc = add(acc, mul(values[p], x))
-            hit = True
-        if hit and fit is not None:
+        if full:
+            for p in range(lo, hi):
+                acc = add(acc, mul(values[p], lookup[minors[p]]))
+        else:
+            for p in range(lo, hi):
+                y = lookup(minors[p], _MISSING)
+                if y is not _MISSING:
+                    acc = add(acc, mul(values[p], y))
+        if fit is not None:
             acc = fit(acc)
-        if hit and not acc == zero:
+        if not acc == zero:
             entries.append((i, acc))
     return _trusted(SparseVector, out_len, tuple(entries), s.domain)
 
@@ -244,20 +238,21 @@ def ewise_mult(a: CompressedMatrix, b: CompressedMatrix, op: BinaryOp) -> Compre
 def reduce(a: CompressedMatrix, m: Monoid, axis: str) -> SparseVector:
     """Fold each row (axis="rows") or column (axis="cols") under a monoid.
 
-    Empty slices produce no entry.  With a plus monoid over a pattern
-    matrix this is the out-degree (rows) or in-degree (cols).
+    Each stored slice folds its values from the identity in ascending minor
+    index, add(acc, x), in one `functools.reduce` call; empty slices produce
+    no entry.  With a plus monoid over a pattern matrix this is the
+    out-degree (rows) or in-degree (cols).
     """
     _check_axis(axis)
     _require_domain(m.domain, a)
     eff = reorient(a, ROW if axis == "rows" else COL)
     length = a.nrows if axis == "rows" else a.ncols
     add, _mul, fit = _fold_ops(m.op)
-    entries = []
-    for i, lo, hi in _stored_slices(eff.offsets):
-        acc = m.identity
-        for p in range(lo, hi):
-            acc = add(acc, eff.values[p])
-        entries.append((i, acc if fit is None else fit(acc)))
+    values, identity = eff.values, m.identity
+    entries = [(i, fold(add, values[lo:hi], identity))
+               for i, lo, hi in _stored_slices(eff.offsets)]
+    if fit is not None:
+        entries = [(i, fit(acc)) for i, acc in entries]
     return _trusted(SparseVector, length, tuple(entries), m.domain)
 
 

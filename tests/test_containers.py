@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 
@@ -31,7 +32,7 @@ from sgk.containers import (
     vector_entries,
     vector_from_entries,
 )
-from sgk.domains import ALL_DOMAINS, FLOAT64, INT64
+from sgk.domains import ALL_DOMAINS, FLOAT64, INT64, OPAQUE
 from sgk.errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -39,7 +40,7 @@ from sgk.errors import (
     IndexRangeError,
     SgkError,
 )
-from sgk.semirings import min_monoid, or_monoid, plus_monoid
+from sgk.semirings import BinaryOp, Monoid, min_monoid, or_monoid, plus_monoid
 
 
 def k3_pattern() -> CompressedMatrix:
@@ -137,11 +138,13 @@ def typed(triples) -> list:
 
 
 # Values whose fold depends on its order: float sums that round away the
-# small term, int-64 sums that wrap, and booleans.
+# small term, int-64 sums that wrap, and booleans; concatenation does not
+# commute, so it also shows the fold's operand order.
 _FOLD_CASES = {
     "float": (plus_monoid(FLOAT64), st.sampled_from([1e16, 1.0, -1e16, 0.5, -3.0])),
     "int": (plus_monoid(INT64), st.sampled_from([2**63 - 1, 2**62, -2**63, 1, -1])),
     "bool": (or_monoid(), st.booleans()),
+    "concat": (Monoid(BinaryOp("concat", OPAQUE, operator.add), ""), st.sampled_from("abc")),
 }
 
 

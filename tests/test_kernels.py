@@ -671,6 +671,14 @@ def test_slice_kernels_match_dict_evaluation_in_both_orientations(data):
             if j2 == j:
                 product[(i, col)] = product.get((i, col), 0.0) + x * y
     check(mxm(a, c, s), {p: x for p, x in product.items() if not x == 0.0})
+    # reduce folds each slice from the identity in ascending minor index,
+    # add(acc, x): minus shows a swapped operand, the float sums a reversed fold.
+    for axis, major in (("rows", 0), ("cols", 1)):
+        for monoid in (s.add, Monoid(_MINUS, 0.0)):
+            folds = {}
+            for p, x in sorted(ca.items(), key=lambda e: (e[0][major], e[0][1 - major])):
+                folds[p[major]] = monoid.op.eval(folds.get(p[major], monoid.identity), x)
+            assert reduce(a, monoid, axis).entries == tuple(sorted(folds.items()))
 
     assert scale_vector(v, w, _MINUS).entries == tuple(
         (i, x - dw[i]) for i, x in sorted(dv.items()) if i in dw)
