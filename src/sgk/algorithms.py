@@ -7,6 +7,9 @@ the kernels, the semiring registry, and the public container helpers, so
 each algorithm works unchanged for any storage layout.  A vector built
 from indices an algorithm generated itself, or took from a kernel's
 result, goes through `containers._sorted_vector`, which re-checks nothing.
+bfs and sssp_minplus are one iteration under two semirings: both consume
+the push rounds of `_rounds` and differ only in the op that says which
+vertices a round leaves in the frontier.
 """
 
 from __future__ import annotations
@@ -81,67 +84,51 @@ def _vec_total(v: SparseVector, m: Monoid):
     return ents[0][1] if ents else m.identity
 
 
+def _rounds(m: CompressedMatrix, frontier: SparseVector, sr, keep: IndexUnaryOp, zero,
+            name: str):
+    """Push rounds from a frontier, yielding the frontier after each round
+    until one comes out empty.
+
+    A round is one transposed product of the frontier with m, which is
+    stored in rows, so it pushes along the frontier's out-edges and never
+    reorients or pulls, then one index-aware `apply_unary` of `keep` that
+    drops `zero`.  Each round runs only when the consumer asks for the
+    next, so `keep` sees what the consumer recorded of every earlier round;
+    bfs and sssp_minplus both rely on that order.  A frontier still
+    standing after n + 1 rounds is an internal fault.
+    """
+    for _ in range(m.nrows + 1):
+        frontier = apply_unary(mxv(m, frontier, sr, transpose_input=True), keep,
+                               drop_zeros_for=zero)
+        if not vector_entries(frontier):
+            return
+        yield frontier
+    raise InternalInvariantError(f"{name}: frontier survived n + 1 rounds")
+
+
 def bfs(a: CompressedMatrix, sources) -> BfsResult:
     """Multi-source breadth-first search by repeated matrix-vector products
     over the boolean or_and semiring.
 
-    Level 0 is the source set itself; each step expands the frontier one
-    hop along out-edges and drops everything already visited.  The pattern
-    is put in rows once, so every level's transposed product pushes from
-    the frontier along its out-edges and no level reorients or pulls.
+    Level 0 is the source set itself.  Level k is the k-th push round
+    (`_rounds`) on the pattern put in rows once: one hop out along the
+    frontier's out-edges, less every vertex that already holds a level.
     """
     n = _require_square(a, "bfs")
     src = list(sources)
     if not src:
         raise PreconditionError("bfs: source list is empty")
     _check_index_list(src, n, "bfs source")
-    sr = registry_get("or_and")
     pat = reorient(_pattern(a, BOOLEAN, True), ROW)
     frontier = _sorted_vector(n, [(i, True) for i in src], BOOLEAN)
     levels: dict[int, int] = {i: 0 for i in src}
-    # Visited means holding a level; each apply reads `levels` before that level's updates.
+    # Visited means holding a level; each round reads `levels` before that level's updates.
     unvisited = IndexUnaryOp("unvisited", BOOLEAN, BOOLEAN, lambda _x, i, _j: i not in levels)
-    for level in range(1, n + 1):
-        if not vector_entries(frontier):
-            break
-        # w(j) = OR over i of (frontier(i) AND A(i, j)): one hop out.
-        nxt = mxv(pat, frontier, sr, transpose_input=True)
-        frontier = apply_unary(nxt, unvisited, drop_zeros_for=False)
+    for level, frontier in enumerate(
+            _rounds(pat, frontier, registry_get("or_and"), unvisited, False, "bfs"), 1):
         for i, _v in vector_entries(frontier):
             levels[i] = level
-    else:
-        if vector_entries(frontier):
-            raise InternalInvariantError("bfs: frontier survived n expansion steps")
     return BfsResult(levels=_sorted_vector(n, levels.items(), INT64), reached_count=len(levels))
-
-
-def _relax(m: CompressedMatrix, x: SparseVector, sr, what: str):
-    """Bellman-Ford relaxation x <- x (+) m^T x to a fixed point, each round
-    multiplying only from the frontier: the entries of x whose value fell
-    in the last round (all of x at first).  The add is an exact, idempotent
-    min that keeps the current value on a tie, so a vertex whose value did
-    not fall adds nothing the current values lack, and x after every round
-    is the one the full product gives.  The values live in a dict (absent:
-    the add identity).  m is stored in rows, so no round reorients and
-    every round pushes along the frontier's out-edges.  sssp_minplus is
-    the one caller."""
-    add, zero = sr.add.op.eval, sr.zero
-    cur = dict(vector_entries(x))
-
-    def fell(pulled, i, _j):
-        old = cur.get(i, zero)
-        new = add(old, pulled)
-        return zero if new == old else new
-
-    fell_op = IndexUnaryOp("fell", x.domain, x.domain, fell)
-    frontier = x
-    for _ in range(x.length + 1):
-        pulled = mxv(m, frontier, sr, transpose_input=True)
-        frontier = apply_unary(pulled, fell_op, drop_zeros_for=zero)
-        if not vector_entries(frontier):
-            return _sorted_vector(x.length, cur.items(), x.domain)
-        cur.update(vector_entries(frontier))
-    raise InternalInvariantError(what)
 
 
 def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
@@ -152,11 +139,15 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     are checked in C-speed passes over the stored values, and only a bad
     weight takes the ordered loop that names the first one in row-major
     order.  The matrix is put in rows once, for that check and for every
-    round of `_relax`.  The distances start at the source alone, every
-    other vertex reading as the min identity, and each round pushes along
-    the out-edges of the vertices whose distance fell in the last round
-    and keeps the smaller of each vertex's distance and those it is
-    offered.  A reachable vertex whose shortest distance reaches the
+    push round (`_rounds`).  The distances live in a dict that starts at
+    the source alone, an absent vertex reading as the min identity.  Each
+    round pushes along the out-edges of the vertices whose distance fell
+    in the last round (the source at first) and keeps the vertices whose
+    distance falls again, at their new distance.  The add is an exact,
+    idempotent min that keeps the current value on a tie, so a vertex
+    whose distance did not fall offers nothing the current distances lack,
+    and the distances after every round are the ones relaxing every vertex
+    gives.  A reachable vertex whose shortest distance reaches the
     identity (the domain's infinity) cannot be represented and is refused.
     """
     n = _require_square(a, "sssp_minplus")
@@ -179,8 +170,19 @@ def sssp_minplus(a: CompressedMatrix, source: int) -> SparseVector:
     # Seeded with the zero weight, so that no positive weight gives 0.0, not -0.0.
     heaviest = max(zero_w, max(weights, default=zero_w))
     sr = registry_get(f"min_plus/{d.kind}")
-    dist = _relax(a, _sorted_vector(n, [(source, zero_w)], d), sr,
-                  "sssp_minplus: distances failed to stabilize in n iterations")
+    add, zero = sr.add.op.eval, sr.zero
+    cur = {source: zero_w}
+
+    def fell(offered, i, _j):
+        old = cur.get(i, zero)
+        new = add(old, offered)
+        return zero if new == old else new
+
+    start = _sorted_vector(n, [(source, zero_w)], d)
+    for frontier in _rounds(a, start, sr, IndexUnaryOp("fell", d, d, fell), zero,
+                            "sssp_minplus"):
+        cur.update(vector_entries(frontier))
+    dist = _sorted_vector(n, cur.items(), d)
     # Tropical + is monotone, so a sum reaches the identity only if the largest
     # distance plus the heaviest weight does; then an edge from a reached
     # vertex to an unreached one is a path whose distance overflowed.

@@ -32,7 +32,6 @@ from .containers import (
 )
 from .errors import (
     DomainMismatchError,
-    DuplicateIndexError,
     IndexRangeError,
     ParseError,
     PreconditionError,
@@ -159,7 +158,7 @@ def _load_matrix(path: str, undirected: bool) -> CompressedMatrix:
                 )
             return _read_matrix_market(lines)[0]
         return _read_edge_list(lines, undirected)
-    except (ParseError, IndexRangeError, DuplicateIndexError, DomainMismatchError) as e:
+    except (ParseError, IndexRangeError, DomainMismatchError) as e:
         raise _DataError(f"{path}: {e}") from e
 
 

@@ -8,11 +8,12 @@ when the matrix's slices are indexed like the vector it pushes, as the
 Gustavson row of the vector alone, and otherwise it pulls a dot product per
 stored slice in one loop, reading v by position when v stores every index
 and looking it up otherwise.  reduce folds each stored slice in one
-`functools.reduce` call.  Every other matrix-returning kernel walks its
-first argument in its own orientation and hands the result's entries, as
-parallel (major, minor, value) lists at distinct positions, to
-`containers._assemble`, the assembler every matrix made from entry lists
-goes through.
+`functools.reduce` call.  apply_unary keeps its operand's order and
+offsets, or, when it drops values, counts the kept entries into new
+offsets.  Every other matrix-returning kernel walks its first argument in
+its own orientation and hands the result's entries, as parallel (major,
+minor, value) lists at distinct positions, to `containers._assemble`, the
+assembler every matrix made from entry lists goes through.
 Every per-slice loop walks only the stored slices (`_stored_slices`), so
 Python work follows the stored entries, not the declared dimensions.
 Where a semiring is supplied, any computed value equal to the additive
@@ -20,7 +21,10 @@ identity is dropped from the result, so the stored pattern of a kernel
 output never contains the operative zero.  Kernels that take a bare op or
 monoid have no zero in scope and keep every computed value.  Every index
 a kernel stores comes from a valid input, so results are made through
-`containers._trusted` without being validated again.
+`containers._trusted` without being validated again.  Kernels also trust
+every op to return values in its declared output domain and store what
+it returns unchecked: a UnaryOp declared INT64 -> INT64 that returns
+x / 2 stores 0.5, and `containers.check_invariants` refuses such a result.
 
 Floating-point accumulation order is fixed: within each output slot,
 contributions fold from the additive identity in ascending order of the
@@ -383,12 +387,11 @@ def apply_unary(a, f: UnaryOp | IndexUnaryOp, drop_zeros_for=None):
         values = list(map(f.eval, m.values))
     if drop_zeros_for is not None:
         keep = list(map(not_, map(eq, values, repeat(drop_zeros_for))))
-        minors, values = list(compress(minors, keep)), list(compress(values, keep))
+        minors, values = tuple(compress(minors, keep)), list(compress(values, keep))
     if isinstance(a, SparseVector):
         return _trusted(SparseVector, a.length, tuple(zip(minors, values)), f.output_domain)
-    if drop_zeros_for is None:
-        return _trusted(CompressedMatrix, m.nrows, m.ncols, m.orientation, m.offsets, minors,
-                        tuple(values), f.output_domain)
-    return _assemble(m.nrows, m.ncols, m.orientation,
-                     list(compress(_major_indices(m.offsets), keep)), minors, values,
-                     f.output_domain)
+    # Dropping keeps the order; a slice's new offset counts the entries kept before its old one.
+    offsets = m.offsets if drop_zeros_for is None else tuple(
+        map(list(accumulate(keep, initial=0)).__getitem__, m.offsets))
+    return _trusted(CompressedMatrix, m.nrows, m.ncols, m.orientation, offsets, minors,
+                    tuple(values), f.output_domain)
