@@ -36,13 +36,27 @@ Integer folds whose every op wraps (plus_times over a fixed-width integer
 domain, or a plus reduce) run on the ops' unbounded `raw` operators and wrap
 each output slot once.  Two's-complement wrap is a ring homomorphism from
 the integers onto Z/2^w, so the result equals wrapping after every step.
+
+A built-in semiring over an exact domain may declare a fast row
+(`Semiring.fast_row`), which `_row_product` takes in place of the per-flop
+fold, for mxm and the push side of mxv: or_and's row is the union of the
+stored true entries of the slices its true x select; integer
+min_select2nd's push row writes each slice's minors with x in descending
+x, so each slot keeps its smallest x (mxm's operand order keeps the
+generic loop); integer plus_times over operands that are all 1 (one
+C-speed count per operand per mxm call) counts each slot's j and wraps the
+count once.  or, integer min and integer plus are exact, so the order the
+slots are formed in cannot show, and the results are the generic loop's
+bit for bit.  Semirings built by hand or registered by a user declare
+nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce as fold
 from itertools import accumulate, compress, repeat
-from operator import eq, not_
+from operator import eq, itemgetter, ne, not_
 from typing import Any, Sequence
 
 from .containers import (
@@ -96,24 +110,79 @@ def _fold_ops(add: BinaryOp, mul: BinaryOp | None = None):
 # Multiplication
 
 
-def _row_product(left, b: CompressedMatrix, add, mul, fit, zero, left_first: bool):
+def _fast_row(s: Semiring, left_first: bool, *operands) -> str | None:
+    """The row `s` declares (`Semiring.fast_row`) when it holds for this
+    product, else None.  "min_pushed" holds only in push order, where each
+    product is x; "count" only when every value of `operands`, the values of
+    both operands, is 1, which one C-speed count per operand decides (the
+    declaration is only made over integer domains, so a 1 there is neither
+    True nor 1.0)."""
+    row = s.fast_row
+    if row == "min_pushed" and left_first:
+        return None
+    if row == "count" and not (operands and all(vs.count(1) == len(vs) for vs in operands)):
+        return None
+    return row
+
+
+def _row_product(left, b: CompressedMatrix, add, mul, fit, zero, left_first: bool,
+                 fast_row: str | None):
     """The (keys, values) lists, keys ascending, of the sparse row that sums
     slice j of `b` times x over the (j, x) of `left`, j ascending
     (Gustavson's row).  Slot k folds add(acc, mul(x, B(j, k))) from `zero`,
     or mul(B(j, k), x) when not `left_first`; each slot is fitted once and
     dropped when it equals `zero`.  Each operand order has its own inner
-    loop, so no product pays for a call that swaps the operands."""
-    acc: dict[int, Any] = {}
-    get = acc.get
+    loop, so no product pays for a call that swaps the operands.
+
+    A `fast_row` from `_fast_row` forms the same slots with no Python call
+    per product, a C-speed update per slice instead; its fold is exact, so
+    the order it forms them in cannot show."""
     offsets, minors, values = b.offsets, b.minor_indices, b.values
-    for j, x in left:
-        lo, hi = offsets[j], offsets[j + 1]
-        if left_first:
-            for k, y in zip(minors[lo:hi], values[lo:hi]):
-                acc[k] = add(get(k, zero), mul(x, y))
-        else:
-            for k, y in zip(minors[lo:hi], values[lo:hi]):
-                acc[k] = add(get(k, zero), mul(y, x))
+    if fast_row == "union":
+        # x and B(j, k) is B(j, k) for a true x and False otherwise, and an
+        # or of trues is True: the row is the stored trues the true x select.
+        keys: set[int] = set()
+        for j, x in left:
+            if x:
+                lo, hi = offsets[j], offsets[j + 1]
+                keys.update(compress(minors[lo:hi], values[lo:hi]))
+        ks = sorted(keys)
+        return ks, [True] * len(ks)
+    acc: dict[int, Any]
+    if fast_row == "min_pushed":
+        # B(j, k) times x is x, or the zero, which min passes over, where
+        # B(j, k) is the zero.  Written in descending x, the smallest x of a
+        # slot is written last; only a slice that stores the zero is filtered,
+        # so the work still follows the pushed slices.
+        acc = {}
+        for j, x in sorted(left, key=itemgetter(1), reverse=True):
+            lo, hi = offsets[j], offsets[j + 1]
+            ks = minors[lo:hi]
+            if zero in values[lo:hi]:
+                ks = compress(ks, map(ne, values[lo:hi], repeat(zero)))
+            acc.update(zip(ks, repeat(x)))
+    elif fast_row == "count":
+        # Every product is 1 * 1, so slot k sums to the count of its j.  No
+        # count exceeds the row's flops, so when `fit` keeps their number,
+        # no count wraps and none is zero.
+        flops: list[int] = []
+        for j, _x in left:
+            flops += minors[offsets[j]:offsets[j + 1]]
+        acc = Counter(flops)
+        if fit(len(flops)) == len(flops):
+            ks = sorted(acc)
+            return ks, list(map(acc.__getitem__, ks))
+    else:
+        acc = {}
+        get = acc.get
+        for j, x in left:
+            lo, hi = offsets[j], offsets[j + 1]
+            if left_first:
+                for k, y in zip(minors[lo:hi], values[lo:hi]):
+                    acc[k] = add(get(k, zero), mul(x, y))
+            else:
+                for k, y in zip(minors[lo:hi], values[lo:hi]):
+                    acc[k] = add(get(k, zero), mul(y, x))
     ks = sorted(acc)
     vs = list(map(acc.__getitem__, ks) if fit is None else map(fit, map(acc.__getitem__, ks)))
     keep = list(map(not_, map(eq, vs, repeat(zero))))
@@ -138,6 +207,7 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
     br = reorient(b, ROW)
     add, mul, fit = _fold_ops(s.add.op, s.mul)
     zero = s.add.identity
+    fast_row = _fast_row(s, True, a.values, b.values)
     # Only A's non-empty rows are visited, so the loop follows the stored
     # entries, not the declared rows; their counts become offsets at the end.
     counts = [0] * (ar.nrows + 1)
@@ -145,7 +215,7 @@ def mxm(a: CompressedMatrix, b: CompressedMatrix, s: Semiring) -> CompressedMatr
     values: list[Any] = []
     for i, lo, hi in _stored_slices(ar.offsets):
         ks, vs = _row_product(zip(ar.minor_indices[lo:hi], ar.values[lo:hi]), br, add, mul, fit,
-                              zero, True)
+                              zero, True, fast_row)
         minors.extend(ks)
         values.extend(vs)
         counts[i + 1] = len(ks)
@@ -183,10 +253,11 @@ def mxv(a: CompressedMatrix, v: SparseVector, s: Semiring,
         # A's slices are indexed like v: push, scattering slice j for each v(j).
         # When v stores every index, v(j) is at position j, so only the v(j)
         # whose slice is stored are pushed, picked at C speed.
+        # No operand is scanned for the "count" row, so the work follows the
+        # pushed slices, not the matrix.
         pushed = compress(v.entries, _slice_sizes(a.offsets)) if full else v.entries
-        return _trusted(SparseVector, out_len,
-                        tuple(zip(*_row_product(pushed, a, add, mul, fit, zero, False))),
-                        s.domain)
+        row = _row_product(pushed, a, add, mul, fit, zero, False, _fast_row(s, False))
+        return _trusted(SparseVector, out_len, tuple(zip(*row)), s.domain)
     # Pull.  A full v (pagerank's ranks, the only pull among the algorithms)
     # is read by position, which beat a zip over each slice (1.52 against
     # 1.82 ms per pull on the seed-3 `iterate` graph); a sparse v is looked

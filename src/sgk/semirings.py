@@ -103,11 +103,24 @@ class Semiring:
 
     The additive identity must annihilate under the multiplication; kernels
     skip implicit entries on that basis.
+
+    `fast_row` is None except on the built-ins over an exact domain whose
+    Gustavson row needs no per-flop Python call, where it names that row:
+    "union" on or_and (the row is the set of stored true entries the true
+    x select), "min_pushed" on integer min_select2nd (the product is x
+    unless B(j, k) is the absorbing value, so the slot's value is its
+    smallest pushed x) and "count" on integer plus_times (over operands
+    that are all 1, each slot counts its j).  or, integer min and integer
+    plus are exact, so a row that forms its slots in another order gives
+    the generic fold's values bit for bit.  It is not a constructor
+    argument: only `registry_get` sets it, so a semiring built by hand or
+    registered by a user always takes the generic fold.
     """
 
     name: str
     add: Monoid
     mul: BinaryOp
+    fast_row: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.add.domain != self.mul.domain:
@@ -352,20 +365,23 @@ def _absorbing(add_of, mul_of):
     return build
 
 
-# Each built-in family: its canonical domain kind and a builder of its
-# (additive monoid, multiplication) over a domain.  The op factories refuse
-# the domains a family is not defined over.
-_FAMILIES: dict[str, tuple[str, Callable[[ValueDomain], tuple[Monoid, BinaryOp]]]] = {
-    "plus_times": ("float-double", lambda d: (plus_monoid(d), times_op(d))),
-    "max_plus": ("float-double", _absorbing(max_monoid, tropical_plus_op)),
-    "min_plus": ("float-double", _absorbing(min_monoid, tropical_plus_op)),
+# Each built-in family: its canonical domain kind, a builder of its
+# (additive monoid, multiplication) over a domain, and the `fast_row` it
+# declares over boolean and integer domains.  Float folds keep the generic
+# loop: their sums depend on the order, and min meets NaN and signed zeros.
+# The op factories refuse the domains a family is not defined over.
+_FAMILIES: dict[str, tuple[str, Callable[[ValueDomain], tuple[Monoid, BinaryOp]],
+                           str | None]] = {
+    "plus_times": ("float-double", lambda d: (plus_monoid(d), times_op(d)), "count"),
+    "max_plus": ("float-double", _absorbing(max_monoid, tropical_plus_op), None),
+    "min_plus": ("float-double", _absorbing(min_monoid, tropical_plus_op), None),
     "min_max": ("signed-int-64",
-                lambda d: (min_monoid(d), BinaryOp("max", d, max_monoid(d).op.eval))),
-    "or_and": ("boolean", lambda d: (or_monoid(), and_op())),
-    "min_select2nd": ("signed-int-64", _absorbing(min_monoid, select2nd_op)),
+                lambda d: (min_monoid(d), BinaryOp("max", d, max_monoid(d).op.eval)), None),
+    "or_and": ("boolean", lambda d: (or_monoid(), and_op()), "union"),
+    "min_select2nd": ("signed-int-64", _absorbing(min_monoid, select2nd_op), "min_pushed"),
 }
 
-CANONICAL_NAMES = tuple(f"{family}/{kind}" for family, (kind, _) in _FAMILIES.items())
+CANONICAL_NAMES = tuple(f"{family}/{kind}" for family, (kind, *_) in _FAMILIES.items())
 
 
 _registry: dict[str, Semiring] = {}
@@ -387,7 +403,7 @@ def registry_get(name: str) -> Semiring:
     family, _, kind = name.partition("/")
     if family not in _FAMILIES:
         raise UnknownSemiringError(f"unknown semiring {name!r}")
-    canonical, build = _FAMILIES[family]
+    canonical, build, fast_row = _FAMILIES[family]
     kind = kind or canonical
     full = f"{family}/{kind}"
     with _registry_lock:
@@ -401,6 +417,8 @@ def registry_get(name: str) -> Semiring:
             except UnsupportedDomainError:
                 raise UnsupportedDomainError(f"{family} is not defined over {kind!r}") from None
             found = _registry[full] = Semiring(full, add, mul)
+            if fast_row is not None and (domain.is_boolean or domain.is_integer):
+                object.__setattr__(found, "fast_row", fast_row)
     return found
 
 

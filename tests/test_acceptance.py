@@ -50,8 +50,10 @@ from sgk.domains import (
     INT64,
     ulp_distance,
 )
+from sgk.errors import UnsupportedDomainError
 from sgk.io_formats import read_matrix_market, write_matrix_market
 from sgk.kernels import (
+    _fold_ops,
     apply_unary,
     ewise_mult,
     mxm,
@@ -77,6 +79,7 @@ from sgk.oracle import (
     vector_to_dense,
 )
 from sgk.semirings import (
+    _FAMILIES,
     CANONICAL_NAMES,
     IndexUnaryOp,
     UnaryOp,
@@ -128,6 +131,47 @@ def test_criterion_01_semiring_laws():
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"law suite took {elapsed:.2f}s (budget 5s)"
+
+
+def test_fast_row_laws_hold_for_every_builtin_that_declares_one():
+    """The facts each declared fast row (`Semiring.fast_row`) relies on,
+    over every built-in family and domain that declares one:
+    - "union": true and y is y, false and y is False, and add is or;
+    - "min_pushed": mul(y, x) is x for every y but the identity, and add is
+      min;
+    - "count": mul(1, 1) is 1 over an integer domain, and add is integer +
+      up to the kernels' `fit`."""
+    rng = random.Random(0xFA57)
+    declared = set()
+    for family in _FAMILIES:
+        for d in ALL_DOMAINS:
+            try:
+                s = registry_get(f"{family}/{d.kind}")
+            except UnsupportedDomainError:
+                continue
+            if s.fast_row is None:
+                continue
+            declared.add((s.fast_row, s.name))
+            add, mul, zero = s.add.op.eval, s.mul.eval, s.zero
+            pool = law_sample_pool(s, rng, size=64)
+            pairs = [(x, y) for x in pool for y in pool]
+            if s.fast_row == "union":
+                for x, y in pairs:
+                    assert mul(True, y) == y and mul(y, True) == y, (s.name, y)
+                    assert mul(False, y) is False and mul(y, False) is False, (s.name, y)
+                    assert add(x, y) == (x or y), (s.name, x, y)
+            elif s.fast_row == "min_pushed":
+                for x, y in pairs:
+                    if y != zero:
+                        assert mul(y, x) == x, (s.name, y, x)
+                    assert add(x, y) == min(x, y), (s.name, x, y)
+            else:
+                assert s.fast_row == "count" and d.is_integer, s.name
+                fit = _fold_ops(s.add.op, s.mul)[2]
+                assert fit is not None and mul(1, 1) == 1, s.name
+                for x, y in pairs:
+                    assert add(x, y) == fit(x + y), (s.name, x, y)
+    assert {row for row, _name in declared} == {"union", "min_pushed", "count"}
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ from sgk.kernels import (
 )
 from sgk.oracle import dense_mxm, dense_mxv, to_dense
 from sgk.semirings import (
-    BinaryOp, IndexUnaryOp, Monoid, Semiring, UnaryOp, plus_monoid, registry_get,
+    BinaryOp, IndexUnaryOp, Monoid, Semiring, UnaryOp, or_monoid, plus_monoid,
+    register_semiring, registry_get,
 )
 
 
@@ -1028,28 +1029,173 @@ def test_mxv_folds_each_output_in_ascending_j(orientation, transpose_input):
     assert vector_entries(mxv(a, v, s, transpose_input)) == ((0, 0.1),)
 
 
-def test_pushed_mxv_work_follows_the_vector_not_the_other_rows():
-    s = registry_get("plus_times/signed-int-64")
+# Each semiring pushes v(0) = x along A(0, 5) = y; the other rows hold `other`.
+@pytest.mark.parametrize("name, x, y, other, want", [
+    ("plus_times/signed-int-64", 2, 3, 1, 6),
+    ("or_and", True, True, True, True),
+    ("min_select2nd/signed-int-64", 2, 3, 1, 2),
+])
+def test_pushed_mxv_work_follows_the_vector_not_the_other_rows(name, x, y, other, want):
+    s = registry_get(name)
     n = 2001
-    v = SparseVector(n, ((0, 2),), INT64)
+    v = SparseVector(n, ((0, x),), s.domain)
     lines = []
     for others in (10, 2000):
-        triples = (Triple(0, 5, 3),) + tuple(Triple(1 + k, k, 1) for k in range(others))
-        a = to_compressed(CooMatrix(n, n, triples, INT64))
-        assert vector_entries(mxv(a, v, s, transpose_input=True)) == ((5, 6),)
+        triples = (Triple(0, 5, y),) + tuple(Triple(1 + k, k, other) for k in range(others))
+        a = to_compressed(CooMatrix(n, n, triples, s.domain))
+        assert vector_entries(mxv(a, v, s, transpose_input=True)) == ((5, want),)
         lines.append(traced_lines(lambda: mxv(a, v, s, transpose_input=True)))
     assert lines[0] == lines[1]
 
 
-def test_pushed_mxv_with_a_full_vector_follows_the_stored_rows():
-    s = registry_get("plus_times/signed-int-64")
+# A(0, 5) and A(n - 1, 0) hold `cells`; v(j) is value(j) at every j.
+@pytest.mark.parametrize("name, cells, value, want", [
+    ("plus_times/signed-int-64", (3, 2), lambda j: j + 1, lambda n: ((0, 2 * n), (5, 3))),
+    ("or_and", (True, True), lambda j: True, lambda n: ((0, True), (5, True))),
+    ("min_select2nd/signed-int-64", (3, 2), lambda j: j + 1, lambda n: ((0, n), (5, 1))),
+])
+def test_pushed_mxv_with_a_full_vector_follows_the_stored_rows(name, cells, value, want):
+    s = registry_get(name)
     lines = []
     for n in (2**10, 2**16):
-        a = to_compressed(CooMatrix(n, n, (Triple(0, 5, 3), Triple(n - 1, 0, 2)), INT64))
-        v = SparseVector(n, tuple((j, j + 1) for j in range(n)), INT64)
-        assert vector_entries(mxv(a, v, s, transpose_input=True)) == ((0, 2 * n), (5, 3))
+        a = to_compressed(CooMatrix(n, n, (Triple(0, 5, cells[0]), Triple(n - 1, 0, cells[1])),
+                                    s.domain))
+        v = SparseVector(n, tuple((j, value(j)) for j in range(n)), s.domain)
+        assert vector_entries(mxv(a, v, s, transpose_input=True)) == want(n)
         lines.append(traced_lines(lambda: mxv(a, v, s, transpose_input=True)))
     assert lines[0] == lines[1]
+
+
+# ---------------------------------------------------------------------------
+# Declared fast rows (Semiring.fast_row) against the generic loop
+
+
+def _generic(s):
+    """`s` built by hand from the same ops, so it declares no fast row."""
+    return Semiring(s.name, s.add, s.mul)
+
+
+def test_fast_rows_are_declared_only_by_exact_builtins():
+    declared = {name: registry_get(name).fast_row for name in (
+        "or_and", "min_select2nd/signed-int-64", "min_select2nd/unsigned-int-8",
+        "plus_times/signed-int-8", "plus_times/unsigned-int-64")}
+    assert declared == {"or_and": "union", "min_select2nd/signed-int-64": "min_pushed",
+                        "min_select2nd/unsigned-int-8": "min_pushed",
+                        "plus_times/signed-int-8": "count",
+                        "plus_times/unsigned-int-64": "count"}
+    for name in ("plus_times/float-double", "min_select2nd/float-double", "min_plus",
+                 "max_plus/signed-int-64", "min_max"):
+        assert registry_get(name).fast_row is None
+    # "min_pushed" holds in push order only, "count" only over operands all 1.
+    s, ones = registry_get("min_select2nd"), (1, 1)
+    assert kernels._fast_row(s, True) is None and kernels._fast_row(s, False) == "min_pushed"
+    s = registry_get("plus_times/signed-int-64")
+    assert kernels._fast_row(s, True, ones, ones) == "count"
+    assert kernels._fast_row(s, True, ones, (1, 2)) is None
+    assert kernels._fast_row(s, False) is None
+
+
+_Z64 = INT64.max_value
+# Stored False; the absorbing value, and equal x from different j; operands
+# all 1 (the float ones must keep the generic loop and give floats).
+_FAST_ROW_VALUES = {
+    "or_and": st.booleans(),
+    "min_select2nd/signed-int-64": st.sampled_from([-5, 0, 3, 3, 3, _Z64]),
+    "plus_times/signed-int-64": st.just(1),
+    "plus_times/signed-int-8": st.just(1),
+    "plus_times/float-double": st.just(1.0),
+}
+
+
+def _with_one_value(data, m, values):
+    """m with one stored value replaced by a draw of `values`, when m stores any."""
+    if not m.values or not data.draw(st.booleans()):
+        return m
+    p = data.draw(st.integers(0, len(m.values) - 1))
+    return replace(m, values=m.values[:p] + (data.draw(values),) + m.values[p + 1:])
+
+
+@pytest.mark.parametrize("name", sorted(_FAST_ROW_VALUES))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fast_rows_match_the_generic_loop(name, data):
+    """mxm against the slice-pairs body and a hand-built copy of the
+    semiring; mxv pushed on one orientation against pulled on the other and
+    the hand-built copy, for both values of the transpose flag."""
+    s = registry_get(name)
+    values = _FAST_ROW_VALUES[name]
+    # Operands all 1 but one value take the generic loop.
+    other = st.sampled_from([0, 2, -1]) if s.domain.is_integer else values
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = _with_one_value(data, _operand(data, n, k, s.domain, values, n * k), other)
+    b = _with_one_value(data, _operand(data, k, m, s.domain, values, k * m), other)
+    got = _assert_same_product(a, b, s)
+    assert check_invariants(got)
+    _assert_same_matrix(got, mxm(a, b, _generic(s)))
+    if s.domain.is_float:
+        assert all(type(x) is float for x in got.values)
+    for transpose_input in (False, True):
+        length = a.nrows if transpose_input else a.ncols
+        picked = data.draw(st.dictionaries(st.integers(0, max(length - 1, 0)), values,
+                                           max_size=length))
+        full = data.draw(st.lists(values, min_size=length, max_size=length))
+        for v in (SparseVector(length, tuple(sorted(picked.items())), s.domain),
+                  SparseVector(length, tuple(enumerate(full)), s.domain)):
+            want = repr(vector_entries(mxv(a, v, _generic(s), transpose_input)))
+            for o in (ROW, COL):
+                w = mxv(reorient(a, o), v, s, transpose_input)
+                assert check_invariants(w) and repr(vector_entries(w)) == want
+
+
+@pytest.mark.parametrize("orients", [(ROW, ROW), (ROW, COL), (COL, ROW), (COL, COL)])
+def test_counted_rows_wrap_like_the_generic_loop(orients):
+    """All-ones operands: C(0, 0) counts 256 j, which wraps to 0 in
+    signed-int-8 and is dropped; C(1, 0) counts 255 (-1), and C(i, 1) 128
+    (-128)."""
+    s = registry_get("plus_times/signed-int-8")
+    a = to_compressed(CooMatrix(2, 256, tuple(Triple(i, j, 1) for i in range(2)
+                                              for j in range(256 - i)), INT8), orients[0])
+    b = to_compressed(CooMatrix(256, 2, tuple(Triple(j, c, 1) for j in range(256)
+                                              for c in range(2) if c == 0 or j < 128),
+                                INT8), orients[1])
+    assert kernels._fast_row(s, True, a.values, b.values) == "count"
+    got = _assert_same_product(a, b, s)
+    assert entries_of(got) == (Triple(0, 1, -128), Triple(1, 0, -1), Triple(1, 1, -128))
+
+
+def test_fast_rows_follow_the_declaration_not_the_name():
+    """A semiring named or_and but built by hand, with a mul that is not and,
+    and a registered copy of or_and both take the generic loop."""
+    hand = Semiring("or_and/boolean", or_monoid(), BinaryOp("first", BOOLEAN, lambda a, b: a))
+    calls = []
+
+    def counted_and(a, b):
+        calls.append((a, b))
+        return a and b
+
+    copy = registry_get(register_semiring(
+        Semiring("copied_or_and/boolean", or_monoid(), BinaryOp("and", BOOLEAN, counted_and))))
+    assert hand.fast_row is None and copy.fast_row is None
+    # A = [[T, F], [., T]] and B = [[F, T], [T, .]], both storing a False.
+    a = to_compressed(CooMatrix(2, 2, (Triple(0, 0, True), Triple(0, 1, False),
+                                       Triple(1, 1, True)), BOOLEAN))
+    b = to_compressed(CooMatrix(2, 2, (Triple(0, 0, False), Triple(0, 1, True),
+                                       Triple(1, 0, True)), BOOLEAN))
+    # first(A(i, j), B(j, k)) is A(i, j) wherever B(j, k) is stored, even False.
+    got = _assert_same_product(a, b, hand)
+    assert [(t.row, t.col) for t in entries_of(got)] == [(0, 0), (0, 1), (1, 0)]
+    v = SparseVector(2, ((0, True), (1, False)), BOOLEAN)
+    for transpose_input in (False, True):
+        want = _dict_pull(a, v, hand, transpose_input)
+        for o in (ROW, COL):
+            assert vector_entries(mxv(reorient(a, o), v, hand, transpose_input)) == want
+    calls.clear()
+    builtin = registry_get("or_and")
+    assert entries_of(mxm(a, b, copy)) == entries_of(mxm(a, b, builtin))
+    assert calls
+    calls.clear()
+    assert mxv(a, v, copy, transpose_input=True) == mxv(a, v, builtin, transpose_input=True)
+    assert calls
 
 
 # ---------------------------------------------------------------------------
